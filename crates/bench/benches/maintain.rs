@@ -1,10 +1,11 @@
 //! Throughput of the maintenance batch driver: whole site timelines through
 //! verify → classify → repair, sequential vs. fanned out over all cores.
 //!
-//! The headline numbers — pages/second through `Registry::maintain_batch`
-//! with 1 worker vs. N workers — are also measured with a plain wall-clock
-//! loop and recorded in `BENCH_maintain.json` at the workspace root, so the
-//! subsystem's perf trajectory stays reproducible.
+//! The headline numbers — pages/second through
+//! `Registry::maintain_batch_sequential` vs. `Registry::maintain_batch` —
+//! are also measured with a plain wall-clock loop and recorded in
+//! `BENCH_maintain.json` at the workspace root, so the subsystem's perf
+//! trajectory stays reproducible.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -103,7 +104,7 @@ fn record_throughput() {
     let (registry, jobs, pages) = build_workload(12, 24);
     let maintainer = Maintainer::default();
     let full = full_maintainer();
-    let workers = std::thread::available_parallelism()
+    let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
@@ -114,28 +115,28 @@ fn record_throughput() {
     for _ in 0..runs {
         let mut r = registry.clone();
         let t = Instant::now();
-        black_box(r.maintain_batch_with_workers(&jobs, &maintainer, 1));
+        black_box(r.maintain_batch_sequential(&jobs, &maintainer));
         sequential_s = sequential_s.min(t.elapsed().as_secs_f64());
 
         let mut r = registry.clone();
         let t = Instant::now();
-        black_box(r.maintain_batch_with_workers(&jobs, &full, 1));
+        black_box(r.maintain_batch_sequential(&jobs, &full));
         full_s = full_s.min(t.elapsed().as_secs_f64());
 
         let mut r = registry.clone();
         let t = Instant::now();
-        black_box(r.maintain_batch_with_workers(&jobs, &maintainer, workers));
+        black_box(r.maintain_batch(&jobs, &maintainer));
         parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
     }
     println!(
         "maintain_batch throughput: {} jobs, {} pages; incremental 1 worker {:.0} pages/s, \
-         from-scratch 1 worker {:.0} pages/s ({:.2}x), {} workers {:.0} pages/s ({:.1}x)",
+         from-scratch 1 worker {:.0} pages/s ({:.2}x), maintain_batch on {} cores {:.0} pages/s ({:.1}x)",
         jobs.len(),
         pages,
         pages as f64 / sequential_s,
         pages as f64 / full_s,
         full_s / sequential_s,
-        workers,
+        cores,
         pages as f64 / parallel_s,
         sequential_s / parallel_s
     );

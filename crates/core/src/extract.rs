@@ -28,16 +28,11 @@ use crate::error::ExtractError;
 use wi_dom::{Document, NodeId};
 use wi_xpath::{evaluate_with, EvalContext, Query};
 
-/// Number of documents below which [`Extractor::extract_batch`] stays on the
-/// calling thread: spawning threads for a couple of pages costs more than it
-/// saves.
-const PARALLEL_THRESHOLD: usize = 8;
-
 /// A wrapper that can be applied to (versions of) documents.
 ///
 /// Implementors must be thread-safe (`Send + Sync`): the default
 /// [`extract_batch`](Extractor::extract_batch) fans extraction out over all
-/// available cores with scoped threads.
+/// available cores.
 pub trait Extractor: Send + Sync {
     /// Extracts the wrapper's node set from `doc`, evaluated from `context`.
     fn extract(&self, doc: &Document, context: NodeId) -> Result<Vec<NodeId>, ExtractError> {
@@ -76,38 +71,16 @@ pub trait Extractor: Send + Sync {
     /// Applies the wrapper to every document (from each document's root),
     /// returning one result per input, in input order.
     ///
-    /// Large batches are spread over all available cores; small batches run
-    /// on the calling thread.  Each worker reuses one [`EvalContext`] for
-    /// its whole chunk.  The results are exactly those of
+    /// The documents are spread over the available cores by
+    /// [`fan_out`](crate::fan_out): a single document, or a single core,
+    /// runs inline; otherwise each worker claims the next document and
+    /// reuses one [`EvalContext`] for every document it takes.  The results
+    /// are exactly those of
     /// [`extract_batch_sequential`](Extractor::extract_batch_sequential).
     fn extract_batch(&self, docs: &[Document]) -> Vec<Result<Vec<NodeId>, ExtractError>> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(docs.len());
-        if docs.len() < PARALLEL_THRESHOLD || workers < 2 {
-            return self.extract_batch_sequential(docs);
-        }
-        let chunk_size = docs.len().div_ceil(workers);
-        let mut results: Vec<Result<Vec<NodeId>, ExtractError>> = Vec::with_capacity(docs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut cx = EvalContext::new();
-                        chunk
-                            .iter()
-                            .map(|doc| self.extract_with(&mut cx, doc, doc.root()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("extraction worker panicked"));
-            }
-        });
-        results
+        crate::fan_out(docs, EvalContext::new, |cx, doc| {
+            self.extract_with(cx, doc, doc.root())
+        })
     }
 
     /// The sequential reference implementation of

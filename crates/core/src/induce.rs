@@ -22,19 +22,13 @@ use wi_dom::NodeId;
 use wi_scoring::{rank_order, Counts, QueryInstance};
 use wi_xpath::PrefixEvaluator;
 
-/// Number of samples below which [`induce`] stays on the calling thread:
-/// per-sample induction is expensive (milliseconds, not microseconds), so
-/// the fan-out pays off almost immediately — but a single sample has nothing
-/// to fan out.
-const PARALLEL_THRESHOLD: usize = 2;
-
 /// Induces the best-K ranked query instances for a set of samples.
 ///
 /// Returns an empty vector when no sample is well-formed or no candidate
 /// expression could be generated (e.g. targets unreachable from the context).
 ///
-/// Per-sample induction fans out over the available cores (one candidate
-/// engine per sample, mirroring `Extractor::extract_batch`), and all
+/// Per-sample induction fans out over the available cores through
+/// [`crate::fan_out`] (one candidate engine per sample), and all
 /// candidate evaluation — the Algorithm 2 tables and the aggregation
 /// re-scoring — runs through the shared-prefix trie engine.  The results are
 /// byte-identical to [`crate::reference::induce_reference`], the retained
@@ -45,42 +39,12 @@ pub fn induce(samples: &[Sample<'_>], config: &InductionConfig) -> Vec<QueryInst
         return Vec::new();
     }
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(usable.len());
-    let per_sample: Vec<Vec<QueryInstance>> = if usable.len() < PARALLEL_THRESHOLD || workers < 2 {
-        usable.iter().map(|s| induce_sample(s, config)).collect()
-    } else {
-        // One worker (and one candidate engine) per chunk of samples; the
-        // per-sample results are re-assembled in input order, so the
-        // aggregated candidate list is exactly the sequential one.
-        let chunk_size = usable.len().div_ceil(workers);
-        let mut results: Vec<Vec<QueryInstance>> = Vec::with_capacity(usable.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = usable
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|s| induce_sample(s, config))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("induction worker panicked"));
-            }
-        });
-        results
-    };
-
-    let mut all_candidates: Vec<QueryInstance> = Vec::new();
-    for candidates in per_sample {
-        all_candidates.extend(candidates);
-    }
-
+    // One candidate engine per sample; the per-sample results come back in
+    // input order, so the aggregated candidate list is the sequential one.
+    let all_candidates = crate::fan_out(&usable, || (), |_, s| induce_sample(s, config))
+        .into_iter()
+        .flatten()
+        .collect();
     aggregate(&usable, all_candidates, config)
 }
 

@@ -65,6 +65,7 @@ pub mod induce;
 pub mod induce_path;
 pub mod json;
 pub mod node_pattern;
+pub mod parallel;
 pub mod reference;
 pub mod sample;
 pub mod spine;
@@ -81,6 +82,7 @@ pub use extract::Extractor;
 pub use induce::induce;
 pub use induce_path::{induce_path, induce_path_with};
 pub use node_pattern::node_patterns;
+pub use parallel::fan_out;
 pub use reference::induce_reference;
 pub use sample::{harvest_targets_by_text, Sample};
 pub use step_pattern::{step_patterns, step_patterns_with};

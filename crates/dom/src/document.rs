@@ -9,7 +9,6 @@ use crate::iter::{
 };
 use crate::node::{Attribute, Node, NodeData, NodeId, NodeKind};
 use crate::order::{OrderIndex, TagIndex};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// An HTML/XML document: a tree of element and text nodes stored in an arena.
@@ -25,7 +24,7 @@ use std::sync::OnceLock;
 /// Ordered queries (`document_order`, `is_ancestor_of`, `sort_document_order`,
 /// the `following`/`preceding` axes and the tag lookups) are served by lazily
 /// built indexes; see [`crate::order`] for the invalidation contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     pub(crate) nodes: Vec<Node>,
     root: NodeId,

@@ -37,7 +37,6 @@
 //! structural equality across documents (e.g. [`crate::subtree_equal`]) is
 //! unaffected by interner numbering.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -46,7 +45,7 @@ use std::fmt;
 /// Symbols are cheap to copy, hash and compare; equal symbols of the same
 /// document always denote equal strings, and — because interning dedupes —
 /// equal strings of the same document always map to equal symbols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
 impl Sym {

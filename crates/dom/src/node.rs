@@ -8,7 +8,6 @@
 //! `attribute` axis as a terminal step).
 
 use crate::intern::Sym;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within a [`Document`](crate::Document) arena.
@@ -17,7 +16,7 @@ use std::fmt;
 /// They are cheap to copy and hash, and are ordered by document (pre-)order of
 /// creation, which coincides with document order for parsed and built
 /// documents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -42,7 +41,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A single attribute of an element node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name (lower-cased by the parser, kept verbatim by builders).
     pub name: String,
@@ -61,7 +60,7 @@ impl Attribute {
 }
 
 /// The kind of a tree node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An element node such as `<div class="x">`.
     Element,
@@ -71,7 +70,7 @@ pub enum NodeKind {
 
 /// The payload of a node: either an element (tag name plus attributes) or a
 /// text node (character data).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeData {
     /// Element payload.
     Element {
@@ -134,7 +133,7 @@ impl NodeData {
 /// The sibling/child links implement a classic first-child/next-sibling tree
 /// with additional `prev_sibling` and `last_child` pointers so that all four
 /// sibling-related axes are O(1) per step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) data: NodeData,
     /// Interned tag name ([`Sym::UNSET`] for text nodes).  Kept in sync with

@@ -11,7 +11,6 @@
 use crate::report::render_table;
 use crate::robustness::Extractor;
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use wi_dom::Document;
 use wi_induction::{EnsembleConfig, WrapperEnsemble, WrapperInducer};
@@ -21,7 +20,7 @@ use wi_webgen::date::Day;
 use wi_webgen::date::{OBSERVATION_END, OBSERVATION_START};
 
 /// Throughput of one extraction method over the snapshot batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Method label.
     pub method: String,

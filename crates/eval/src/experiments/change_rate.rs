@@ -5,11 +5,10 @@
 use super::{induce_for_task, robustness_experiment};
 use crate::report::{mean, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_webgen::datasets::{multi_node_tasks, single_node_tasks};
 
 /// c-change statistics for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChangeRateReport {
     /// Dataset label.
     pub dataset: String,

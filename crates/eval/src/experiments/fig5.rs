@@ -4,13 +4,12 @@
 use super::induce_for_task;
 use crate::report::render_table;
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_webgen::datasets::single_node_tasks;
 use wi_webgen::tasks::WrapperTask;
 use wi_xpath::{Axis, NodeTest, Predicate, Query, TextSource};
 
 /// Aggregated expression characteristics (the content of Figures 5 / 6).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Characteristics {
     /// Number of expressions per step count (1, 2, 3+).
     pub step_counts: Vec<(usize, usize)>,

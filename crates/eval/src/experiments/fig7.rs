@@ -6,7 +6,6 @@
 use super::induction_config_for;
 use crate::report::{pct, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_induction::{induce, Sample};
 use wi_webgen::datasets::{negative_noise_samples, positive_noise_samples};
 use wi_webgen::date::Day;
@@ -14,7 +13,7 @@ use wi_webgen::noise::{apply_noise, NoiseKind};
 use wi_webgen::vocab::mix_seed;
 
 /// Result row: one noise kind at one intensity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoisePoint {
     /// The noise model.
     pub kind: String,

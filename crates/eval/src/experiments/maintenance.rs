@@ -29,7 +29,6 @@
 
 use crate::report::{pct, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::sample::counts_against;
 use wi_induction::{Extractor, WrapperBundle, WrapperInducer};
@@ -50,7 +49,7 @@ pub const CLASSIFICATION_ACCURACY_FLOOR: f64 = 0.80;
 pub const REPAIR_RECOVERY_FLOOR: f64 = 0.90;
 
 /// One point of the survival curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SurvivalPoint {
     /// Epoch day.
     pub day: i64,
@@ -62,7 +61,7 @@ pub struct SurvivalPoint {
 }
 
 /// The aggregated result of the maintenance experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaintenanceReport {
     /// Tasks maintained.
     pub tasks: usize,

@@ -20,7 +20,6 @@ pub mod timing;
 
 use crate::robustness::{run_robustness_standard, BreakReason, RobustnessOutcome};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_induction::config::TextPolicy;
 use wi_induction::{InductionConfig, Sample, WrapperInducer};
 use wi_scoring::QueryInstance;
@@ -49,7 +48,7 @@ pub fn induce_for_task(task: &WrapperTask, k: usize) -> Vec<QueryInstance> {
 }
 
 /// The per-task result of a robustness comparison run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskRobustness {
     /// Task identifier (`site/Role`).
     pub task_id: String,
@@ -67,7 +66,7 @@ pub struct TaskRobustness {
 
 /// Aggregate statistics over the tasks of a robustness experiment (one of
 /// Figures 3 / 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustnessReport {
     /// Per-task outcomes.
     pub tasks: Vec<TaskRobustness>,

@@ -5,7 +5,6 @@
 
 use crate::report::{pct, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_induction::config::TextPolicy;
 use wi_induction::{induce, InductionConfig, Sample};
 use wi_webgen::datasets::ner_pages;
@@ -15,7 +14,7 @@ use wi_webgen::site::PageKind;
 use wi_xpath::{evaluate_with, EvalContext};
 
 /// Result of the NER-noise experiment on one page.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerPageResult {
     /// Site id.
     pub site: String,
@@ -33,7 +32,7 @@ pub struct NerPageResult {
 }
 
 /// Summary over all pages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NerReport {
     /// Per-page results.
     pub pages: Vec<NerPageResult>,

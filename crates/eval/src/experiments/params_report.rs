@@ -5,13 +5,12 @@
 use super::induction_config_for;
 use crate::report::render_table;
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_scoring::ScoringParams;
 use wi_webgen::datasets::single_node_tasks;
 use wi_xpath::{Axis, StringFunction};
 
 /// One point of the decay sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecayPoint {
     /// The decay factor δ.
     pub decay: f64,

@@ -15,7 +15,6 @@
 
 use crate::report::render_table;
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_dom::to_html;
 use wi_induction::harvest_targets_by_text;
 use wi_induction::json::JsonValue;
@@ -33,7 +32,7 @@ const REGISTRY_SHARDS: usize = 4;
 const MAX_TASKS: usize = 5;
 
 /// The aggregated result of the serve experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Sites induced and installed over HTTP.
     pub sites: usize,

@@ -8,7 +8,6 @@
 
 use crate::report::{pct, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_baselines::treeedit::{ChangeModel, TreeEditInducer};
 use wi_induction::{induce, Sample};
 use wi_webgen::archive::ArchiveSimulator;
@@ -17,7 +16,7 @@ use wi_webgen::date::Day;
 use wi_xpath::{evaluate_with, EvalContext};
 
 /// Success ratios for one observation period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeriodResult {
     /// Label of the period (e.g. "2004–2006").
     pub period: String,

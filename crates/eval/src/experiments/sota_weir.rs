@@ -8,14 +8,13 @@
 
 use crate::report::{pct, render_table};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use wi_baselines::weir::{WeirInducer, WeirPage};
 use wi_webgen::datasets::hotel_corpus;
 use wi_webgen::date::Day;
 use wi_xpath::{evaluate_with, EvalContext, Query};
 
 /// Aggregated comparison result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeirComparison {
     /// Average survival (fraction of the period) of our top-10 expressions.
     pub ours_top10_avg: f64,

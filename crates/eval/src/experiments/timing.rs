@@ -9,13 +9,12 @@
 use super::induce_for_task;
 use crate::report::render_table;
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use wi_webgen::datasets::{multi_node_tasks, single_node_tasks};
 use wi_webgen::date::Day;
 
 /// Induction timing statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimingReport {
     /// Dataset label.
     pub dataset: String,

@@ -1,7 +1,6 @@
 //! The robustness runner: replaying a wrapper over archive snapshots until it
 //! breaks, and classifying why (the paper's break groups (a)–(f)).
 
-use serde::{Deserialize, Serialize};
 use wi_dom::NodeId;
 use wi_webgen::archive::ArchiveSimulator;
 use wi_webgen::date::{Day, OBSERVATION_END, OBSERVATION_START};
@@ -14,7 +13,7 @@ use wi_xpath::{canonical_path, evaluate_with, EvalContext, Query};
 pub use wi_induction::{ExtractError, Extractor};
 
 /// Why a wrapper's evaluation run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BreakReason {
     /// The wrapper still worked on the last snapshot of the window (group a).
     SurvivedFullPeriod,
@@ -30,7 +29,7 @@ pub enum BreakReason {
 }
 
 /// The outcome of replaying one wrapper over one task's snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustnessOutcome {
     /// Days the wrapper remained valid (from the induction snapshot).
     pub valid_days: i64,

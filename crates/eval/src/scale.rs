@@ -1,9 +1,7 @@
 //! Experiment scaling: full paper-sized runs vs. quick smoke runs.
 
-use serde::{Deserialize, Serialize};
-
 /// How large an experiment run should be.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Number of single-node tasks (paper: 53).
     pub single_tasks: usize,

@@ -24,7 +24,6 @@
 //! an unknown break.
 
 use crate::verify::{HealthReport, LastKnownGood};
-use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::WrapperBundle;
 use wi_xpath::eval::evaluate_step;
@@ -35,7 +34,7 @@ use wi_xpath::{
 /// The break groups of the paper's Section 6.2, as a drift classifier
 /// reports them (compare `wi_webgen::ChangeClass`, the generated ground
 /// truth the classifier is scored against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DriftClass {
     /// Positional churn: the expression's positional anchors point at the
     /// wrong sibling after inserts/removals (groups (b)/(c)).
@@ -68,7 +67,7 @@ impl DriftClass {
 }
 
 /// One validated substitution inside an expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryFix {
     /// Step index inside the expression.
     pub step: usize,
@@ -79,7 +78,7 @@ pub struct QueryFix {
 }
 
 /// The kinds of in-place substitution the classifier can validate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FixKind {
     /// An attribute anchor re-anchored onto a new value.
     Reanchor {
@@ -123,7 +122,7 @@ impl FixKind {
 }
 
 /// The diagnosis of one bundle entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntryDiagnosis {
     /// Index of the entry inside the bundle.
     pub entry: usize,
@@ -142,12 +141,11 @@ pub struct EntryDiagnosis {
     /// gone from every surviving carrier — the sibling context the
     /// expression used to descend through was removed with its block, and
     /// only an unrelated carrier of the same value survives.
-    #[serde(default)]
     pub neighborhood_gone: bool,
 }
 
 /// The classifier's verdict for one flagged snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftReport {
     /// The snapshot day.
     pub day: i64,
@@ -165,7 +163,7 @@ impl DriftReport {
 }
 
 /// Tuning knobs for classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftConfig {
     /// Maximum substitutions per expression (a redesign renames several
     /// anchors at once).

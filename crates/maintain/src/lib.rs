@@ -28,8 +28,8 @@
 //!    provenance note.
 //! 4. **Version** ([`Registry`]) — bundles are versioned per site; the
 //!    parallel [`Registry::maintain_batch`] driver runs whole archives of
-//!    sites through the loop with one evaluation context per worker,
-//!    mirroring `Extractor::extract_batch`.
+//!    sites through the loop on the shared [`wi_induction::fan_out`], with
+//!    one evaluation context per worker.
 //! 5. **Persist** ([`PersistentRegistry`]) — the production registry: site
 //!    histories sharded by FxHash of the site key, each shard an append-only
 //!    checksummed JSON-lines version log with a manifest.

@@ -24,13 +24,12 @@ use crate::incremental::IncrementalState;
 use crate::repair::{RepairAction, RepairConfig, Repairer};
 use crate::verify::{HealthReport, LastKnownGood, Verifier, VerifyConfig};
 use crate::PageVersion;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use wi_induction::{WrapperBundle, WrapperInducer};
 use wi_xpath::EvalContext;
 
 /// The lifecycle state of a maintained wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WrapperState {
     /// Healthy (or freshly repaired) and being watched.
     Monitoring,
@@ -44,7 +43,7 @@ pub enum WrapperState {
 }
 
 /// Everything the loop decided about one snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochOutcome {
     /// The snapshot day.
     pub day: i64,
@@ -119,7 +118,7 @@ impl MaintenanceLog {
 }
 
 /// Configuration of the whole loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaintainConfig {
     /// Verification thresholds.
     pub verify: VerifyConfig,

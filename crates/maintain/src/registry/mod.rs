@@ -1,8 +1,8 @@
 //! The bundle registry: versioned wrapper history per site, plus the
-//! parallel batch driver that runs many sites' timelines through the
-//! maintenance loop.
+//! batch driver that runs many sites' timelines through the maintenance
+//! loop.
 //!
-//! Two registries share one contract:
+//! Two registries share one contract and one batch driver:
 //!
 //! * [`Registry`] — the in-memory reference: a plain map from site key to
 //!   version history.  Fast, simple, forgets everything on drop.  It is the
@@ -22,11 +22,18 @@
 //!   [`restore`](PersistentRegistry::restore) move whole registries between
 //!   directories and machines.
 //!
-//! The persistent [`maintain_batch`](PersistentRegistry::maintain_batch)
-//! additionally persists each site's *maintenance position* — last-known
-//! -good state, lifecycle state and retirement streak — so a restarted
-//! service resumes a timeline byte-identically to a process that never
-//! stopped (`Maintainer::run_resumed` does the splicing).
+//! Both `maintain_batch`es skip duplicate sites, seed each job with where
+//! its site's maintenance resumes, and spread the jobs over the cores with
+//! [`wi_induction::fan_out`] (inline for one job or one core; otherwise
+//! every worker claims the next job and keeps one evaluation context);
+//! `maintain_batch_sequential` runs the same jobs on the calling thread as
+//! the reference.  The in-memory registry starts every site fresh from its
+//! current bundle.  The persistent
+//! [`maintain_batch`](PersistentRegistry::maintain_batch) resumes from each
+//! site's persisted *maintenance position* — last-known-good state,
+//! lifecycle state and retirement streak — and persists the new one, so a
+//! restarted service resumes a timeline byte-identically to a process that
+//! never stopped (`Maintainer::run_resumed` does the splicing).
 
 pub mod compact;
 mod lock;
@@ -41,7 +48,7 @@ pub use objects::ObjectStore;
 pub use shard::shard_of;
 pub use snapshot::{ReplicationStats, SnapshotStats};
 
-use crate::lifecycle::{Maintainer, MaintenanceLog, WrapperState};
+use crate::lifecycle::{Maintainer, MaintenanceLog, RevisionEvent, WrapperState};
 use crate::verify::LastKnownGood;
 use crate::PageVersion;
 use log::encode_record;
@@ -49,15 +56,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use wi_induction::WrapperBundle;
 use wi_xpath::EvalContext;
-
-/// Number of jobs below which [`Registry::maintain_batch`] stays on the
-/// calling thread (mirrors `Extractor::extract_batch`).
-const PARALLEL_THRESHOLD: usize = 4;
-
-/// Minimum jobs per worker: spawning a thread for fewer jobs than this costs
-/// more than it saves, so the fan-out is clamped to
-/// `jobs / MIN_JOBS_PER_WORKER` workers even when more cores are available.
-const MIN_JOBS_PER_WORKER: usize = 2;
 
 /// One versioned install of a bundle for a site.
 #[derive(Debug, Clone)]
@@ -138,27 +136,23 @@ impl Registry {
 
     /// Runs every job's timeline through the maintenance loop and commits
     /// the resulting revisions, fanning the jobs out over the available
-    /// cores.  One [`EvalContext`] is created per worker and reused for the
-    /// worker's whole chunk, mirroring `Extractor::extract_batch`; the
-    /// results (and the committed history) are exactly those of
+    /// cores with [`wi_induction::fan_out`]: one job, or one core, runs
+    /// inline; otherwise each worker claims the next job and reuses one
+    /// [`EvalContext`] for every job it takes.  The results (and the
+    /// committed history) are exactly those of
     /// [`maintain_batch_sequential`](Registry::maintain_batch_sequential).
     ///
-    /// The fan-out is **adaptive**: on a single-core machine
-    /// (`available_parallelism() == 1`), or when the batch is too small to
-    /// amortize thread spawns (fewer than [`PARALLEL_THRESHOLD`] jobs, or
-    /// fewer than [`MIN_JOBS_PER_WORKER`] jobs per would-be worker), the
-    /// batch stays on the calling thread — scoped threads on one core can
-    /// only add overhead (the 0.83× regression recorded in the pre-adaptive
-    /// `BENCH_maintain.json`).
-    ///
-    /// Returns one log per job, in job order.  A job whose site has no
-    /// installed bundle yields an empty log.
+    /// A site may appear in at most one job per batch: two concurrent runs
+    /// from the same starting revision would commit conflicting histories.
+    /// Only the first job for a site runs; duplicates, like jobs for a site
+    /// with no installed bundle, yield empty logs.  Returns one log per
+    /// job, in job order.
     pub fn maintain_batch(
         &mut self,
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
     ) -> Vec<MaintenanceLog> {
-        self.maintain_batch_with_workers(jobs, maintainer, adaptive_workers(jobs.len()))
+        self.run_batch(jobs, maintainer, Fan::Out)
     }
 
     /// The sequential reference implementation of
@@ -168,110 +162,99 @@ impl Registry {
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
     ) -> Vec<MaintenanceLog> {
-        self.maintain_batch_with_workers(jobs, maintainer, 1)
+        self.run_batch(jobs, maintainer, Fan::Inline)
     }
 
-    /// Batch maintenance with an explicit worker count (the throughput bench
-    /// compares 1 vs N).
-    ///
-    /// A site may appear in at most one job per batch: two concurrent runs
-    /// from the same starting revision would commit conflicting histories.
-    /// Only the first job for a site runs; duplicates yield empty logs.
-    pub fn maintain_batch_with_workers(
+    fn run_batch(
         &mut self,
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
-        workers: usize,
+        fan: Fan,
     ) -> Vec<MaintenanceLog> {
-        // Snapshot the current bundle of every job up front so the run is
-        // independent of commit order; duplicate sites get no bundle (and
-        // therefore an empty log) so they cannot fork the version history.
-        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let bundles: Vec<Option<WrapperBundle>> = jobs
-            .iter()
-            .map(|job| {
-                if !seen.insert(&job.site) {
-                    return None;
-                }
-                self.current(&job.site).cloned()
+        // Every site starts from its current bundle, fresh.
+        let logs = drive_batch(jobs, maintainer, fan, |job| {
+            self.current(&job.site).map(|bundle| Resume {
+                bundle: bundle.clone(),
+                lkg: job.seed_lkg.clone(),
+                state: WrapperState::Monitoring,
+                streak: 0,
+                skip_pages: 0,
             })
-            .collect();
-
-        let logs = fan_out(jobs, &bundles, workers, &|cx,
-                                                      job,
-                                                      bundle: &Option<
-            WrapperBundle,
-        >| {
-            run_job(cx, maintainer, job, bundle.as_ref())
         });
-
         // Commit the new revisions, in job order.
         for (job, log) in jobs.iter().zip(&logs) {
             let Some(versions) = self.sites.get_mut(&job.site) else {
                 continue;
             };
-            for revision in &log.revisions {
-                versions.push(VersionRecord {
-                    revision: revision.revision,
-                    day: revision.day,
-                    cause: revision.cause.clone(),
-                    bundle: revision.bundle.clone(),
-                });
-            }
+            versions.extend(log.revisions.iter().map(version_record));
         }
         logs
     }
 }
 
-/// The per-worker fan-out shared by the in-memory and persistent batch
-/// drivers: one reusable [`EvalContext`] per worker, chunked scoped threads
-/// above the adaptive thresholds, strictly sequential below them.  `run` is
-/// called once per `(job, seed)` pair; the logs come back in job order.
-fn fan_out<S: Sync>(
-    jobs: &[MaintenanceJob],
-    seeds: &[S],
-    workers: usize,
-    run: &(dyn Fn(&mut EvalContext, &MaintenanceJob, &S) -> MaintenanceLog + Sync),
-) -> Vec<MaintenanceLog> {
-    if jobs.len() < PARALLEL_THRESHOLD || workers < 2 {
-        let mut cx = EvalContext::new();
-        return jobs
-            .iter()
-            .zip(seeds)
-            .map(|(job, seed)| run(&mut cx, job, seed))
-            .collect();
-    }
-    let chunk_size = jobs.len().div_ceil(workers);
-    let mut logs = Vec::with_capacity(jobs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk_size)
-            .zip(seeds.chunks(chunk_size))
-            .map(|(job_chunk, seed_chunk)| {
-                scope.spawn(move || {
-                    let mut cx = EvalContext::new();
-                    job_chunk
-                        .iter()
-                        .zip(seed_chunk)
-                        .map(|(job, seed)| run(&mut cx, job, seed))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            logs.extend(handle.join().expect("maintenance worker panicked"));
-        }
-    });
-    logs
+/// Whether a batch fans out over the cores or runs on the calling thread.
+#[derive(Clone, Copy)]
+enum Fan {
+    Out,
+    Inline,
 }
 
-/// The adaptive worker count for a batch of `jobs` (see
-/// [`Registry::maintain_batch`] for the rationale).
-fn adaptive_workers(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cores.min(jobs / MIN_JOBS_PER_WORKER).max(1)
+/// Where one job's maintenance run starts.
+struct Resume {
+    bundle: WrapperBundle,
+    lkg: Option<LastKnownGood>,
+    state: WrapperState,
+    streak: u32,
+    /// Pages already maintained in an earlier batch, skipped on re-submission.
+    skip_pages: usize,
+}
+
+/// The batch driver both registries share.  The first job for each site is
+/// seeded by `resume` (no seed: an uninstalled site) before anything runs,
+/// so the run is independent of commit order; duplicate sites get no seed
+/// and therefore cannot fork the version history.  Jobs without a seed
+/// yield empty logs; the logs come back in job order.
+fn drive_batch<'j>(
+    jobs: &'j [MaintenanceJob],
+    maintainer: &Maintainer,
+    fan: Fan,
+    mut resume: impl FnMut(&'j MaintenanceJob) -> Option<Resume>,
+) -> Vec<MaintenanceLog> {
+    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    let seeded: Vec<(&MaintenanceJob, Option<Resume>)> = jobs
+        .iter()
+        .map(|job| (job, seen.insert(&job.site).then(|| resume(job)).flatten()))
+        .collect();
+    let run = |cx: &mut EvalContext, (job, seed): &(&MaintenanceJob, Option<Resume>)| match seed {
+        Some(seed) => maintainer.run_resumed(
+            cx,
+            &job.site,
+            seed.bundle.clone(),
+            &job.pages[seed.skip_pages..],
+            seed.lkg.clone(),
+            job.inducer.as_ref().unwrap_or(&maintainer.inducer),
+            seed.state,
+            seed.streak,
+        ),
+        None => empty_log(&job.site),
+    };
+    match fan {
+        Fan::Out => wi_induction::fan_out(&seeded, EvalContext::new, run),
+        Fan::Inline => {
+            let mut cx = EvalContext::new();
+            seeded.iter().map(|item| run(&mut cx, item)).collect()
+        }
+    }
+}
+
+/// The history entry a committed revision becomes.
+fn version_record(revision: &RevisionEvent) -> VersionRecord {
+    VersionRecord {
+        revision: revision.revision,
+        day: revision.day,
+        cause: revision.cause.clone(),
+        bundle: revision.bundle.clone(),
+    }
 }
 
 /// The log of a job that could not run (uninstalled or duplicate site).
@@ -283,26 +266,6 @@ fn empty_log(site: &str) -> MaintenanceLog {
         bundle: WrapperBundle::from_instances(&[], Default::default()),
         lkg: None,
         target_gone_streak: 0,
-    }
-}
-
-/// Runs one job (an uninstalled site yields an empty log).
-fn run_job(
-    cx: &mut EvalContext,
-    maintainer: &Maintainer,
-    job: &MaintenanceJob,
-    bundle: Option<&WrapperBundle>,
-) -> MaintenanceLog {
-    match bundle {
-        Some(bundle) => maintainer.run_with_inducer(
-            cx,
-            &job.site,
-            bundle.clone(),
-            &job.pages,
-            job.seed_lkg.clone(),
-            job.inducer.as_ref().unwrap_or(&maintainer.inducer),
-        ),
-        None => empty_log(&job.site),
     }
 }
 
@@ -888,12 +851,14 @@ impl PersistentRegistry {
     /// and replays the whole batch cannot double-apply a timeline — the
     /// already-committed sites fast-forward to the genuinely new snapshots.
     /// Pages must be oldest-first, as [`MaintenanceJob::pages`] requires.
+    /// Duplicate sites in one batch are skipped exactly like the in-memory
+    /// driver.
     pub fn maintain_batch(
         &mut self,
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
     ) -> Result<Vec<MaintenanceLog>, RegistryError> {
-        self.maintain_batch_with_workers(jobs, maintainer, adaptive_workers(jobs.len()))
+        self.run_batch(jobs, maintainer, Fan::Out)
     }
 
     /// The sequential reference implementation of
@@ -903,93 +868,57 @@ impl PersistentRegistry {
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
     ) -> Result<Vec<MaintenanceLog>, RegistryError> {
-        self.maintain_batch_with_workers(jobs, maintainer, 1)
+        self.run_batch(jobs, maintainer, Fan::Inline)
     }
 
-    /// Batch maintenance with an explicit worker count.  Duplicate sites in
-    /// one batch are skipped exactly like the in-memory driver.
-    pub fn maintain_batch_with_workers(
+    fn run_batch(
         &mut self,
         jobs: &[MaintenanceJob],
         maintainer: &Maintainer,
-        workers: usize,
+        fan: Fan,
     ) -> Result<Vec<MaintenanceLog>, RegistryError> {
         if self.poisoned {
             return Err(RegistryError::Poisoned);
         }
         // Seed every job from the persisted position: current bundle, the
-        // job's explicit last-known-good (or the stored one), lifecycle
+        // stored last-known-good (or the job's explicit one), lifecycle
         // state, retirement streak, and the index of the first page *after*
         // the persisted last-maintained day (idempotent re-submission).
-        // Duplicates and uninstalled sites get no seed and therefore an
-        // empty log.
-        struct Seed {
-            bundle: WrapperBundle,
-            lkg: Option<LastKnownGood>,
-            state: WrapperState,
-            streak: u32,
-            skip_pages: usize,
-        }
-        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let seeds: Vec<Option<Seed>> = jobs
-            .iter()
-            .map(|job| {
-                if !seen.insert(&job.site) {
-                    return None;
-                }
-                self.sites.get(&job.site).map(|entry| Seed {
-                    bundle: entry
-                        .versions
-                        .last()
-                        .expect("installed site")
-                        .bundle
-                        .clone(),
-                    // The persisted LKG is strictly an advancement of any
-                    // seed the job carries (rotation evidence, stability
-                    // counts, anchor censuses accumulated across committed
-                    // epochs), so it wins; the job's seed only bootstraps a
-                    // never-maintained site.  A stale job seed overriding it
-                    // would silently reset that evidence on replay.
-                    lkg: entry.lkg.clone().or_else(|| job.seed_lkg.clone()),
-                    state: entry.state,
-                    streak: entry.target_gone_streak,
-                    skip_pages: match entry.last_day {
-                        Some(last_day) => job
-                            .pages
-                            .iter()
-                            .position(|page| page.day > last_day)
-                            .unwrap_or(job.pages.len()),
-                        None => 0,
-                    },
-                })
+        let logs = drive_batch(jobs, maintainer, fan, |job| {
+            self.sites.get(&job.site).map(|entry| Resume {
+                bundle: entry
+                    .versions
+                    .last()
+                    .expect("installed site")
+                    .bundle
+                    .clone(),
+                // The persisted LKG is strictly an advancement of any seed
+                // the job carries (rotation evidence, stability counts,
+                // anchor censuses accumulated across committed epochs), so
+                // it wins; the job's seed only bootstraps a never-maintained
+                // site.  A stale job seed overriding it would silently reset
+                // that evidence on replay.
+                lkg: entry.lkg.clone().or_else(|| job.seed_lkg.clone()),
+                state: entry.state,
+                streak: entry.target_gone_streak,
+                skip_pages: match entry.last_day {
+                    Some(last_day) => job
+                        .pages
+                        .iter()
+                        .position(|page| page.day > last_day)
+                        .unwrap_or(job.pages.len()),
+                    None => 0,
+                },
             })
-            .collect();
-
-        let logs = fan_out(
-            jobs,
-            &seeds,
-            workers,
-            &|cx, job, seed: &Option<Seed>| match seed {
-                Some(seed) => maintainer.run_resumed(
-                    cx,
-                    &job.site,
-                    seed.bundle.clone(),
-                    &job.pages[seed.skip_pages..],
-                    seed.lkg.clone(),
-                    job.inducer.as_ref().unwrap_or(&maintainer.inducer),
-                    seed.state,
-                    seed.streak,
-                ),
-                None => empty_log(&job.site),
-            },
-        );
+        });
 
         // Persist first, then advance the live map: per shard, one append
         // holding every new revision plus the final last-known-good and
         // lifecycle records of each job that ran.
+        // A job that did not run (or had no new page) has no outcomes.
         let mut appends: BTreeMap<usize, String> = BTreeMap::new();
-        for ((job, seed), log) in jobs.iter().zip(&seeds).zip(&logs) {
-            if seed.is_none() || log.outcomes.is_empty() {
+        for (job, log) in jobs.iter().zip(&logs) {
+            if log.outcomes.is_empty() {
                 continue;
             }
             let mut encoded = String::new();
@@ -1026,19 +955,14 @@ impl PersistentRegistry {
             self.append_guarded(*index, lines)?;
         }
 
-        for ((job, seed), log) in jobs.iter().zip(&seeds).zip(&logs) {
-            if seed.is_none() || log.outcomes.is_empty() {
+        for (job, log) in jobs.iter().zip(&logs) {
+            if log.outcomes.is_empty() {
                 continue;
             }
             let entry = self.sites.get_mut(&job.site).expect("seeded site exists");
-            for revision in &log.revisions {
-                entry.versions.push(VersionRecord {
-                    revision: revision.revision,
-                    day: revision.day,
-                    cause: revision.cause.clone(),
-                    bundle: revision.bundle.clone(),
-                });
-            }
+            entry
+                .versions
+                .extend(log.revisions.iter().map(version_record));
             if let Some(lkg) = &log.lkg {
                 entry.lkg = Some(lkg.clone());
             }
@@ -1206,7 +1130,7 @@ mod tests {
             .collect();
         let maintainer = Maintainer::default();
         let a = sequential.maintain_batch_sequential(&jobs, &maintainer);
-        let b = parallel.maintain_batch_with_workers(&jobs, &maintainer, 4);
+        let b = parallel.maintain_batch(&jobs, &maintainer);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.label, y.label);
@@ -1217,12 +1141,16 @@ mod tests {
                 y.outcomes.iter().map(|o| o.flagged).collect::<Vec<_>>()
             );
         }
+        let entries = |registry: &Registry, site: &str| -> Vec<(u32, i64, String)> {
+            registry
+                .history(site)
+                .iter()
+                .map(|record| (record.revision, record.day, record.cause.clone()))
+                .collect()
+        };
         for i in 0..8 {
             let site = format!("site-{i:02}");
-            assert_eq!(
-                sequential.history(&site).len(),
-                parallel.history(&site).len()
-            );
+            assert_eq!(entries(&sequential, &site), entries(&parallel, &site));
         }
     }
 

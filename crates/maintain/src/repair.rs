@@ -9,13 +9,12 @@
 use crate::drift::{DriftReport, FixKind};
 use crate::incremental::{IncrementalState, InduceLookup};
 use crate::verify::{LastKnownGood, Verifier};
-use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::{BundleEntry, WrapperBundle, WrapperInducer};
 use wi_xpath::EvalContext;
 
 /// How a repaired bundle came to be.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RepairAction {
     /// Anchors were substituted in place; the edit descriptions are
     /// human-readable (`@class "a" -> "b"`).
@@ -56,7 +55,7 @@ pub struct RepairOutcome {
 }
 
 /// Which repair policies are enabled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairConfig {
     /// Substitute re-validated anchors in place.
     pub reanchor: bool,

@@ -15,14 +15,13 @@
 //! * an anchor attribute value named by the expression no longer occurs on
 //!   any element of the page (checked through the tag index).
 
-use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::{CompiledExtractor, Extractor, WrapperBundle};
 use wi_xpath::{parse_query, EvalContext, NodeTest, Predicate, StringFunction, TextSource};
 
 /// What the wrapper extracted the last time it was healthy — the reference
 /// state all verification signals are computed against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LastKnownGood {
     /// The day of the healthy snapshot.
     pub day: i64,
@@ -59,7 +58,7 @@ pub struct LastKnownGood {
 }
 
 /// The carrier census of one attribute anchor at the last healthy snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnchorCarrier {
     /// The anchored attribute name.
     pub attribute: String,
@@ -78,13 +77,11 @@ pub struct AnchorCarrier {
     /// the expression actually went through, so a positionally-masked
     /// anchor surviving its block's removal can still be recognized as a
     /// removed target (see `DriftClassifier`).
-    #[serde(default)]
     pub neighborhood: Vec<String>,
     /// Consecutive healthy captures with an unchanged neighborhood.  Like
     /// text stability, the fingerprint is only *evidence* once reproduced
     /// (two or more confirmations) — list churn inside a carrier must not
     /// trigger removal verdicts.
-    #[serde(default)]
     pub neighborhood_stable: u32,
 }
 
@@ -360,7 +357,7 @@ pub(crate) fn neighborhood_present(
 
 /// One observation about a replayed extraction.  Severe signals make the
 /// report unhealthy; diagnostic ones sharpen classification and repair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HealthSignal {
     /// The extractor itself failed (corrupt artifact, empty bundle, …).
     ExtractionFailed(
@@ -439,7 +436,7 @@ impl HealthSignal {
 }
 
 /// The verifier's verdict for one snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HealthReport {
     /// The snapshot day.
     pub day: i64,
@@ -465,7 +462,7 @@ impl HealthReport {
 }
 
 /// Tuning knobs for verification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VerifyConfig {
     /// A snapshot with fewer elements than this is a broken capture even
     /// without a baseline.

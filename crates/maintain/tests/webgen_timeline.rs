@@ -3,7 +3,8 @@
 
 use wi_induction::{Extractor, WrapperBundle, WrapperInducer};
 use wi_maintain::{
-    DriftClass, LastKnownGood, Maintainer, MaintenanceJob, PageVersion, Registry, WrapperState,
+    DriftClass, LastKnownGood, Maintainer, MaintenanceJob, PageVersion, Registry, VersionRecord,
+    WrapperState,
 };
 use wi_scoring::ScoringParams;
 use wi_webgen::archive::ArchiveSimulator;
@@ -140,7 +141,7 @@ fn batch_maintenance_over_webgen_sites_versions_repaired_bundles() {
     }
     let maintainer = Maintainer::default();
     let mut sequential_registry = registry.clone();
-    let parallel = registry.maintain_batch_with_workers(&jobs, &maintainer, 4);
+    let parallel = registry.maintain_batch(&jobs, &maintainer);
     let sequential = sequential_registry.maintain_batch_sequential(&jobs, &maintainer);
 
     assert_eq!(parallel.len(), jobs.len());
@@ -152,9 +153,15 @@ fn batch_maintenance_over_webgen_sites_versions_repaired_bundles() {
     for job in &jobs {
         let history = registry.history(&job.site);
         assert!(!history.is_empty());
+        let entries = |history: &[VersionRecord]| -> Vec<(u32, i64, String)> {
+            history
+                .iter()
+                .map(|record| (record.revision, record.day, record.cause.clone()))
+                .collect()
+        };
         assert_eq!(
-            history.len(),
-            sequential_registry.history(&job.site).len(),
+            entries(history),
+            entries(sequential_registry.history(&job.site)),
             "parallel and sequential committed different histories for {}",
             job.site
         );

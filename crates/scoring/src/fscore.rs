@@ -4,11 +4,9 @@
 //! spurious (noisy) annotations that would force over-general expressions are
 //! punished harder than missed ones.
 
-use serde::{Deserialize, Serialize};
-
 /// True positive / false positive / false negative counts of a query on a
 /// set of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Counts {
     /// `t+` — number of selected nodes that are annotated.
     pub tp: u32,

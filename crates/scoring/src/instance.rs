@@ -10,12 +10,11 @@
 use crate::fscore::Counts;
 use crate::params::ScoringParams;
 use crate::score::score_query;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use wi_xpath::Query;
 
 /// A query together with its accuracy counts and cached robustness score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryInstance {
     /// The XPath expression.
     pub query: Query,

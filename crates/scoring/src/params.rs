@@ -1,6 +1,5 @@
 //! Scoring parameters (Section 4) and their default values (Section 6.3).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use wi_xpath::{Axis, StringFunction};
 
@@ -11,7 +10,7 @@ use wi_xpath::{Axis, StringFunction};
 /// `c_default = 10`), positional factor 20, no-function-penalty 15,
 /// no-predicate-penalty 1000, decay δ = 2.5, plus the axis / attribute /
 /// function tables reproduced below.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoringParams {
     /// Decay factor δ applied as `δ^(i-1)` to the i-th step's score.
     pub decay: f64,

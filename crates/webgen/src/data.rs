@@ -10,10 +10,9 @@
 
 use crate::style::Vertical;
 use crate::vocab::{mix_seed, ValueGen};
-use serde::{Deserialize, Serialize};
 
 /// One entry of a page's main item list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListItem {
     /// The item's title (result title, cast member role, news headline…).
     pub title: String,
@@ -28,7 +27,7 @@ pub struct ListItem {
 }
 
 /// All variable content of one page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageData {
     /// Main entity title (movie title, hotel name, product name, headline).
     pub entity_title: String,

@@ -5,15 +5,12 @@
 //! are represented as a day offset from the start of the paper's observation
 //! window, 2008-01-01.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A day, counted from 2008-01-01 (day 0).  Negative offsets address days
 /// before the observation window (used by the Dalvi-comparison experiment,
 /// which replays 2004–2008 snapshots).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Day(pub i64);
 
 /// First day of the paper's observation window (2008-01-01).

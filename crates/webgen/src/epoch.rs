@@ -13,12 +13,11 @@ use crate::date::Day;
 use crate::vocab::mix_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Template regions that can disappear from a page ("diminishing targets",
 /// the paper's break group (f)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlockKind {
     /// The primary label–value row (e.g. the Director row).
     PrimaryField,
@@ -47,7 +46,7 @@ impl BlockKind {
 }
 
 /// Names (classes / ids) that semantic-rename events can hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SemanticName {
     /// The id of the main content container.
     ContainerId,
@@ -68,7 +67,7 @@ pub enum SemanticName {
 /// classifier is scored against: every [`ChangeEvent`] maps onto exactly one
 /// class via [`ChangeEvent::change_class`], and broken snapshots / content
 /// rotation (which are not timeline events) have their own classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ChangeClass {
     /// Chrome churn that shifts positional indices on canonical paths
     /// (groups (b)/(c): promo blocks, nav resizes, ad slots, list length).
@@ -106,7 +105,7 @@ impl ChangeClass {
 }
 
 /// A single change event in a site's timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChangeEvent {
     /// Insert (or remove, when `delta < 0`) promo/banner blocks before the
     /// main content — shifts positional indices on the canonical path.
@@ -147,7 +146,7 @@ impl ChangeEvent {
 }
 
 /// The accumulated state of a site's template at a given day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Epoch {
     /// The day this epoch describes.
     pub day: Day,
@@ -227,7 +226,7 @@ impl Epoch {
 }
 
 /// A site's full change timeline plus the parameters needed to fold it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     /// Events sorted by day.
     pub events: Vec<(Day, ChangeEvent)>,
@@ -242,7 +241,7 @@ pub struct Timeline {
 /// Tuning knobs for timeline generation.  The defaults are calibrated so the
 /// survival-time distributions of canonical / induced / human wrappers have
 /// the shape of Figures 3 and 4 of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvolutionProfile {
     /// Mean days between chrome-churn events (promos, nav, ads).
     pub churn_interval: (i64, i64),

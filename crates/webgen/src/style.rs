@@ -9,11 +9,10 @@
 use crate::vocab::mix_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The application domain ("vertical") of a site.  The paper's datasets span
 /// "over 20 different verticals, such as Movies, News, and Travel".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Vertical {
     /// Movie database pages (IMDB-like detail pages).
     Movies,
@@ -78,7 +77,7 @@ impl Vertical {
 }
 
 /// How the main item list of a page is marked up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ListKind {
     /// `<ul class="…"><li>…</li></ul>`
     UnorderedList,
@@ -89,7 +88,7 @@ pub enum ListKind {
 }
 
 /// How label–value template rows ("Director: …") are marked up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelStyle {
     /// `<h4 class="inline">Director:</h4> <span>…</span>`
     Heading,
@@ -100,7 +99,7 @@ pub enum LabelStyle {
 }
 
 /// The per-site structural/naming profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteStyle {
     /// Whether `itemprop`/`itemtype` Microdata attributes are emitted.
     pub uses_microdata: bool,

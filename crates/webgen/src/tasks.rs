@@ -17,11 +17,10 @@ use crate::date::Day;
 use crate::epoch::BlockKind;
 use crate::site::{PageKind, PageView, Site};
 use crate::style::{LabelStyle, ListKind, Vertical};
-use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 
 /// What a task extracts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetRole {
     /// The header search input (single node).
     SearchInput,

@@ -7,11 +7,10 @@
 //! path predicates (e.g. `img[ancestor::div[1][@class="c"]]`) and the
 //! `ends-with` string function.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// XPath navigation axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Axis {
     /// `child::`
     Child,
@@ -166,7 +165,7 @@ impl fmt::Display for Axis {
 }
 
 /// XPath node tests.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeTest {
     /// `*` — any element node.
     AnyElement,
@@ -197,7 +196,7 @@ impl fmt::Display for NodeTest {
 }
 
 /// The Boolean string functions of the fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StringFunction {
     /// String equality (written as `=` or `equals(…)`).
     Equals,
@@ -248,7 +247,7 @@ impl fmt::Display for StringFunction {
 /// The `<Content>` nonterminal of the grammar: the first argument of a string
 /// function — either an attribute selection or the normalized text value of
 /// the current node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TextSource {
     /// `attribute::name` / `@name`
     Attribute(String),
@@ -266,7 +265,7 @@ impl fmt::Display for TextSource {
 }
 
 /// A predicate of a step.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Predicate {
     /// Positional predicate `[n]` (1-based).
     Position(u32),
@@ -346,7 +345,7 @@ impl fmt::Display for Predicate {
 
 /// One step of a query: axis, node test and a (possibly empty) list of
 /// predicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Step {
     /// The navigation axis.
     pub axis: Axis,
@@ -396,7 +395,7 @@ impl fmt::Display for Step {
 /// A complete query: a sequence of steps, optionally *absolute* (evaluated
 /// from the document root regardless of the context node, written with a
 /// leading `/`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Query {
     /// If `true`, evaluation starts at the document root.
     pub absolute: bool,
