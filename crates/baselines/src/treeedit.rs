@@ -170,8 +170,8 @@ fn attribute_features(doc: &Document) -> HashMap<AttrFeature, usize> {
     let mut out = HashMap::new();
     for n in doc.descendants(doc.root()) {
         if let Some(tag) = doc.tag_name(n) {
-            for a in doc.attributes(n) {
-                *out.entry((tag.to_string(), a.name.clone(), a.value.clone()))
+            for (name, value) in doc.attributes(n) {
+                *out.entry((tag.to_string(), name.to_string(), value.to_string()))
                     .or_insert(0) += 1;
             }
         }
@@ -285,13 +285,13 @@ impl TreeEditInducer {
             return vec![Step::new(axis, NodeTest::Text)];
         };
         let mut steps = vec![Step::new(axis, NodeTest::tag(tag))];
-        for attr in doc.attributes(node) {
-            if attr.value.is_empty() {
+        for (name, value) in doc.attributes(node) {
+            if value.is_empty() {
                 continue;
             }
             steps.push(
                 Step::new(axis, NodeTest::tag(tag))
-                    .with_predicate(Predicate::attr_equals(&attr.name, &attr.value)),
+                    .with_predicate(Predicate::attr_equals(name, value)),
             );
         }
         steps.push(

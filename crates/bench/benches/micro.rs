@@ -22,6 +22,10 @@ fn bench_parse_html(c: &mut Criterion) {
     c.bench_function("dom_parse_html_page", |b| {
         b.iter(|| parse_html(&html).unwrap())
     });
+    // Freeing a parsed page on its own (the parse bench above pays it too).
+    c.bench_function("dom_drop_page", |b| {
+        b.iter_batched(|| parse_html(&html).unwrap(), drop, BatchSize::SmallInput)
+    });
 }
 
 fn bench_xpath_evaluate(c: &mut Criterion) {

@@ -73,31 +73,31 @@ pub fn node_patterns(doc: &Document, node: NodeId, config: &InductionConfig) -> 
 
     // Attribute comparisons: full value equality, plus per-word contains for
     // multi-word values (class lists and the like).
-    for attr in doc.attributes(node) {
-        if !config.attribute_allowed(&attr.name) {
+    for (name, value) in doc.attributes(node) {
+        if !config.attribute_allowed(name) {
             continue;
         }
-        if attr.value.is_empty() {
+        if value.is_empty() {
             continue;
         }
         patterns.push(NodePattern::with(
             NodeTest::tag(tag.clone()),
-            Predicate::attr_equals(&attr.name, &attr.value),
+            Predicate::attr_equals(name, value),
         ));
         // `node()[@class="x"]` variants give the induction a way to stay
         // robust against tag renames while keeping the semantic anchor.
         patterns.push(NodePattern::with(
             NodeTest::AnyNode,
-            Predicate::attr_equals(&attr.name, &attr.value),
+            Predicate::attr_equals(name, value),
         ));
-        let words: Vec<&str> = attr.value.split_whitespace().collect();
+        let words: Vec<&str> = value.split_whitespace().collect();
         if words.len() > 1 {
             for w in words.into_iter().take(config.max_attr_words) {
                 patterns.push(NodePattern::with(
                     NodeTest::tag(tag.clone()),
                     Predicate::StringCompare {
                         func: StringFunction::Contains,
-                        source: wi_xpath::TextSource::Attribute(attr.name.clone()),
+                        source: wi_xpath::TextSource::Attribute(name.to_string()),
                         value: w.to_string(),
                     },
                 ));

@@ -14,11 +14,13 @@
 //!
 //! A 300-node snapshot carries ~150 attributes with ~100 distinct values;
 //! rebuilding the `BTreeSet<String>` census dominates the capture cost and
-//! dwarfs the actual verification work.  The [`AttrIndex`] folds both
-//! censuses into one symbol-driven pass per document: carrier counts become
-//! one integer-keyed hash probe, and the value census is built once and
-//! shared behind an [`Arc`], so every capture of the same document clones a
-//! refcount instead of re-walking the tree.
+//! dwarfs the actual verification work.  The [`AttrIndex`] serves both from
+//! symbols: carrier counts come from one pass per document and become one
+//! integer-keyed hash probe, and the value census is built on the first
+//! capture (most verified documents are never captured, and the census is
+//! most of the index's heap blocks) and shared behind an [`Arc`], so every
+//! capture of the same document clones a refcount instead of re-walking the
+//! tree.
 //!
 //! # Invalidation contract
 //!
@@ -31,8 +33,9 @@
 use crate::document::Document;
 use crate::intern::Sym;
 use crate::order::OrderIndex;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Attribute censuses of a [`Document`], keyed by interned symbols.
 ///
@@ -45,26 +48,18 @@ pub struct AttrIndex {
     /// the synthetic root) whose *first* attribute named `name` — mirroring
     /// [`Document::attribute`] shadowing — has value `value`.
     carriers: HashMap<(Sym, Sym), u32>,
-    /// Every distinct attribute value in the document, sorted.  Shared so
-    /// that captures are refcount bumps, not set rebuilds.
-    values: Arc<BTreeSet<String>>,
+    /// Every distinct attribute value in the document, sorted; built on
+    /// first request.  Shared so that captures are refcount bumps, not set
+    /// rebuilds.
+    values: OnceLock<Arc<StringSet>>,
 }
 
 impl AttrIndex {
     pub(crate) fn build(doc: &Document, order: &OrderIndex) -> AttrIndex {
         let mut carriers: HashMap<(Sym, Sym), u32> = HashMap::new();
-        let mut values = BTreeSet::new();
-        // Interning dedupes, so tracking seen value *symbols* dodges both the
-        // set probe and the `String` allocation for every repeated value
-        // (class names and shared hrefs repeat heavily).
-        let mut seen = vec![false; doc.interner().len()];
         for &id in order.nodes_in_order() {
             let attrs = doc.attr_syms(id);
             for (i, &(name, value)) in attrs.iter().enumerate() {
-                if !seen[value.index()] {
-                    seen[value.index()] = true;
-                    values.insert(doc.resolve_sym(value).to_string());
-                }
                 // Only the first attribute of a given name is visible through
                 // `Document::attribute`; shadowed duplicates carry nothing.
                 if attrs[..i].iter().all(|&(n, _)| n != name) {
@@ -75,8 +70,31 @@ impl AttrIndex {
         AttrIndex {
             epoch: order.epoch(),
             carriers,
-            values: Arc::new(values),
+            values: OnceLock::new(),
         }
+    }
+
+    /// The value census, built on first request: most documents are
+    /// verified (carrier probes) without ever being captured (census), and
+    /// the census is one `String` per distinct value.
+    pub(crate) fn values_of(&self, doc: &Document) -> &Arc<StringSet> {
+        self.values.get_or_init(|| {
+            // Interning dedupes, so tracking seen value *symbols* dodges a
+            // string compare for every repeated value (class names and
+            // shared hrefs repeat heavily).
+            let mut seen = vec![false; doc.interner().len()];
+            let mut values = Vec::new();
+            for &id in doc.order_index().nodes_in_order() {
+                for &(_, value) in doc.attr_syms(id) {
+                    if !seen[value.index()] {
+                        seen[value.index()] = true;
+                        values.push(doc.resolve_sym(value));
+                    }
+                }
+            }
+            values.sort_unstable();
+            Arc::new(StringSet::from_sorted(values))
+        })
     }
 
     /// The document epoch this index was built at.
@@ -94,19 +112,95 @@ impl AttrIndex {
             .unwrap_or(0)
     }
 
-    /// The shared value census: every distinct attribute value, sorted.
-    pub fn values(&self) -> &Arc<BTreeSet<String>> {
-        &self.values
-    }
-
     /// Number of distinct `(name, value)` carrier keys in the document.
     pub fn carrier_key_count(&self) -> usize {
         self.carriers.len()
     }
 }
 
+/// A sorted set of distinct strings packed into one buffer — the form of
+/// the attribute value census.  However many strings it holds, a set is two
+/// heap blocks, so building and dropping a page's census costs a few
+/// allocations rather than one per distinct value.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct StringSet {
+    /// The strings, in sorted order, back to back.
+    buf: String,
+    /// End offset in `buf` of each string.
+    ends: Vec<u32>,
+}
+
+impl StringSet {
+    /// The empty set.
+    pub fn new() -> StringSet {
+        StringSet::default()
+    }
+
+    /// Packs strings that are already sorted and distinct.
+    fn from_sorted<'s>(sorted: impl IntoIterator<Item = &'s str>) -> StringSet {
+        let mut set = StringSet::new();
+        for s in sorted {
+            set.buf.push_str(s);
+            set.ends
+                .push(u32::try_from(set.buf.len()).expect("set holds < 4 GiB"));
+        }
+        set
+    }
+
+    /// Number of strings in the set.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` for the empty set.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn str_at(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.buf[start..self.ends[i] as usize]
+    }
+
+    /// The strings in sorted order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(move |i| self.str_at(i))
+    }
+
+    /// `true` when `s` is in the set.
+    pub fn contains(&self, s: &str) -> bool {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.str_at(mid).cmp(s) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StringSet {
+    fn from_iter<I: IntoIterator<Item = S>>(items: I) -> StringSet {
+        let mut items: Vec<S> = items.into_iter().collect();
+        items.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
+        items.dedup_by(|a, b| a.as_ref() == b.as_ref());
+        StringSet::from_sorted(items.iter().map(AsRef::as_ref))
+    }
+}
+
+/// Formats like a `BTreeSet<String>`: `{"a", "b"}`.
+impl fmt::Debug for StringSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::StringSet;
     use crate::builder::el;
     use crate::node::Attribute;
     use crate::Document;
@@ -160,11 +254,12 @@ mod tests {
         let doc = sample();
         let mut expected = std::collections::BTreeSet::new();
         for n in doc.descendants_or_self(doc.root()) {
-            for a in doc.attributes(n) {
-                expected.insert(a.value.clone());
+            for (_, value) in doc.attributes(n) {
+                expected.insert(value.to_string());
             }
         }
-        assert_eq!(**doc.attribute_value_census(), expected);
+        let census = doc.attribute_value_census();
+        assert!(census.iter().eq(expected.iter().map(String::as_str)));
         // Repeated calls share the same allocation.
         assert!(std::sync::Arc::ptr_eq(
             doc.attribute_value_census(),
@@ -183,6 +278,23 @@ mod tests {
         // … but the value census records every value present in the markup.
         assert!(doc.attribute_value_census().contains("first"));
         assert!(doc.attribute_value_census().contains("second"));
+    }
+
+    #[test]
+    fn string_set_is_a_sorted_set() {
+        let set: StringSet = ["b", "", "a", "b", "é", "ab"].into_iter().collect();
+        assert_eq!(set.len(), 5);
+        assert_eq!(set.iter().collect::<Vec<_>>(), ["", "a", "ab", "b", "é"]);
+        assert_eq!(format!("{set:?}"), r#"{"", "a", "ab", "b", "é"}"#);
+        for s in ["", "a", "ab", "b", "é"] {
+            assert!(set.contains(s), "{s}");
+        }
+        for s in ["aa", "c", " ", "abc"] {
+            assert!(!set.contains(s), "{s}");
+        }
+        assert_eq!(set, ["é", "b", "ab", "a", ""].into_iter().collect());
+        assert!(StringSet::new().is_empty());
+        assert!(!StringSet::new().contains(""));
     }
 
     #[test]

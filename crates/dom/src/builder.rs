@@ -5,8 +5,10 @@
 //! * [`TreeSpec`] — a declarative, nested specification built with the [`el`]
 //!   and [`text`] helpers; handy in tests and in the synthetic page templates
 //!   of `wi-webgen`.
-//! * [`DocumentBuilder`] — an imperative open/close builder used by the HTML
-//!   parser and by code that generates documents on the fly.
+//! * [`DocumentBuilder`] — an imperative open/close builder for code that
+//!   generates documents on the fly.  It goes through the public mutation
+//!   API (one checked `append_child` per node); the HTML parser writes the
+//!   arena directly instead.
 
 use crate::document::Document;
 use crate::error::{DomError, Result};

@@ -7,11 +7,15 @@ use crate::intern::{Interner, Sym};
 use crate::iter::{
     Ancestors, Children, Descendants, DescendantsOrSelf, FollowingSiblings, PrecedingSiblings,
 };
-use crate::node::{Attribute, Node, NodeData, NodeId, NodeKind};
+use crate::node::{Attribute, Attributes, Node, NodeId, NodeKind};
 use crate::order::{OrderIndex, TagIndex};
 use std::sync::OnceLock;
 
 /// An HTML/XML document: a tree of element and text nodes stored in an arena.
+///
+/// Nodes hold only symbols, links and spans; names and attribute values live
+/// once in the [`Interner`], character data once in a document-wide text
+/// buffer (see [`crate::node`] for the layout).
 ///
 /// The root of every document is a synthetic *document root* element with the
 /// reserved tag name `#document`.  It mirrors XPath's root node `/`: it is the
@@ -27,6 +31,11 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone)]
 pub struct Document {
     pub(crate) nodes: Vec<Node>,
+    /// Attribute `(name, value)` symbols of every element; element nodes
+    /// own disjoint spans of it.
+    pub(crate) attrs: Vec<(Sym, Sym)>,
+    /// Character data of every text node; text nodes hold spans of it.
+    pub(crate) text: String,
     root: NodeId,
     /// Bumped by every mutation; cached indexes are valid only while their
     /// recorded epoch equals this counter.
@@ -34,7 +43,7 @@ pub struct Document {
     /// Per-document string interner for tag names, attribute names and
     /// attribute values.  Append-only — never invalidated; see
     /// [`crate::intern`] for the ownership contract.
-    interner: Interner,
+    pub(crate) interner: Interner,
     /// Lazily built pre/post-order numbering (see [`crate::order`]).
     order: OnceLock<OrderIndex>,
     /// Lazily built tag-name → elements lookup (see [`crate::order`]).
@@ -42,7 +51,7 @@ pub struct Document {
     /// Lazily built per-subtree structural hashes (see [`crate::hash`]).
     hashes: OnceLock<HashIndex>,
     /// Lazily built attribute censuses (see [`crate::attrs`]).
-    attrs: OnceLock<AttrIndex>,
+    census: OnceLock<AttrIndex>,
 }
 
 /// Reserved tag name of the synthetic document root.
@@ -57,21 +66,28 @@ impl Default for Document {
 impl Document {
     /// Creates an empty document containing only the synthetic root node.
     pub fn new() -> Self {
+        Document::with_capacity(1, 0, 0)
+    }
+
+    /// An empty document (synthetic root only) whose arena, attribute and
+    /// text buffers have room for the given numbers of nodes, attributes and
+    /// text bytes.  The parser sizes its output with this.
+    pub(crate) fn with_capacity(nodes: usize, attrs: usize, text: usize) -> Self {
         let mut interner = Interner::new();
-        let mut root_node = Node::new(NodeData::Element {
-            tag: DOCUMENT_ROOT_TAG.to_string(),
-            attributes: Vec::new(),
-        });
-        root_node.tag_sym = interner.intern(DOCUMENT_ROOT_TAG);
+        let root_tag = interner.intern(DOCUMENT_ROOT_TAG);
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(Node::new(root_tag, 0, 0));
         Document {
-            nodes: vec![root_node],
+            nodes: arena,
+            attrs: Vec::with_capacity(attrs),
+            text: String::with_capacity(text),
             root: NodeId(0),
             epoch: 0,
             interner,
             order: OnceLock::new(),
             tags: OnceLock::new(),
             hashes: OnceLock::new(),
-            attrs: OnceLock::new(),
+            census: OnceLock::new(),
         }
     }
 
@@ -123,7 +139,7 @@ impl Document {
 
     /// The attribute-census index, built on first use after a mutation.
     pub fn attr_index(&self) -> &AttrIndex {
-        self.attrs
+        self.census
             .get_or_init(|| AttrIndex::build(self, self.order_index()))
     }
 
@@ -140,9 +156,9 @@ impl Document {
     }
 
     /// The shared census of every distinct attribute value in the document,
-    /// sorted.  Callers clone the `Arc`, not the set.
-    pub fn attribute_value_census(&self) -> &std::sync::Arc<std::collections::BTreeSet<String>> {
-        self.attr_index().values()
+    /// sorted; built on first request.  Callers clone the `Arc`, not the set.
+    pub fn attribute_value_census(&self) -> &std::sync::Arc<crate::attrs::StringSet> {
+        self.attr_index().values_of(self)
     }
 
     /// Drops the cached indexes and bumps the epoch.  Called by every
@@ -153,14 +169,13 @@ impl Document {
         self.order.take();
         self.tags.take();
         self.hashes.take();
-        self.attrs.take();
+        self.census.take();
     }
 
     /// Parses HTML text into a document with default [`crate::ParseOptions`].
     ///
-    /// Convenience constructor equivalent to [`crate::parse_html`]; callers
-    /// no longer need to thread a [`crate::DocumentBuilder`] (or reach for
-    /// the free function) to get from markup to a `Document`.
+    /// Convenience constructor equivalent to [`crate::parse_html`]: the
+    /// parser fills the arena directly, one pass over the input.
     pub fn parse(html: &str) -> Result<Document> {
         crate::parser::parse_html(html)
     }
@@ -223,76 +238,67 @@ impl Document {
     }
 
     // ------------------------------------------------------------------
-    // Node creation (used by builder, parser, and mutation).
+    // Node creation (used by the builders and mutation; the parser fills
+    // the arena directly).
     // ------------------------------------------------------------------
 
-    pub(crate) fn alloc(&mut self, data: NodeData) -> NodeId {
-        // Growing the arena does not reorder live nodes, but the index arrays
-        // are sized to the arena, so allocation participates in the same
-        // epoch contract as the structural mutations.
+    /// Pushes a fresh, detached slot.  Growing the arena does not reorder
+    /// live nodes, but the index arrays are sized to the arena, so
+    /// allocation participates in the same epoch contract as the structural
+    /// mutations.
+    pub(crate) fn alloc(&mut self, tag: Sym, start: usize, len: usize) -> NodeId {
         self.invalidate_indexes();
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(data));
-        // Admission re-interns the payload from its strings, so imported
-        // subtrees can never smuggle a foreign document's symbols in.
-        self.sync_syms(id);
+        self.nodes
+            .push(Node::new(tag, span_u32(start), span_u32(len)));
         id
     }
 
-    /// Re-derives the interned symbols of a node from its string payload.
-    ///
-    /// Called by [`alloc`](Self::alloc) and by every payload-mutating
-    /// operation (`rename_element`, `set_attribute`, `remove_attribute`);
-    /// any new operation that rewrites `NodeData` strings must call it too,
-    /// or symbol-based lookups will silently miss the node.
-    pub(crate) fn sync_syms(&mut self, id: NodeId) {
-        // Split borrow: the arena slot and the interner are disjoint fields.
-        let Document {
-            nodes, interner, ..
-        } = self;
-        let node = &mut nodes[id.index()];
-        match &node.data {
-            NodeData::Element { tag, attributes } => {
-                node.tag_sym = interner.intern(tag);
-                node.attr_syms.clear();
-                node.attr_syms.extend(
-                    attributes
-                        .iter()
-                        .map(|a| (interner.intern(&a.name), interner.intern(&a.value))),
-                );
-            }
-            NodeData::Text(_) => {
-                node.tag_sym = Sym::UNSET;
-                node.attr_syms.clear();
-            }
+    /// Allocates a detached element, interning its tag and then each
+    /// attribute name and value, in order, into this document.
+    pub(crate) fn alloc_element<'s>(
+        &mut self,
+        tag: &str,
+        attributes: impl IntoIterator<Item = (&'s str, &'s str)>,
+    ) -> NodeId {
+        let tag = self.interner.intern(tag);
+        let start = self.attrs.len();
+        for (name, value) in attributes {
+            let pair = (self.interner.intern(name), self.interner.intern(value));
+            self.attrs.push(pair);
         }
+        let len = self.attrs.len() - start;
+        self.alloc(tag, start, len)
+    }
+
+    /// Allocates a detached text node, copying `content` into the text
+    /// buffer.
+    pub(crate) fn alloc_text(&mut self, content: &str) -> NodeId {
+        let start = self.text.len();
+        self.text.push_str(content);
+        self.alloc(Sym::UNSET, start, content.len())
     }
 
     /// Creates a new, detached element node owned by this document.
     pub fn create_element(&mut self, tag: impl Into<String>, attributes: Vec<Attribute>) -> NodeId {
-        self.alloc(NodeData::Element {
-            tag: tag.into(),
-            attributes,
-        })
+        let pairs = attributes
+            .iter()
+            .map(|a| (a.name.as_str(), a.value.as_str()));
+        self.alloc_element(&tag.into(), pairs)
     }
 
     /// Creates a new, detached text node owned by this document.
     pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeData::Text(text.into()))
+        self.alloc_text(&text.into())
     }
 
     // ------------------------------------------------------------------
     // Payload accessors.
     // ------------------------------------------------------------------
 
-    /// Returns the payload of a node.
-    pub fn data(&self, id: NodeId) -> &NodeData {
-        &self.node(id).data
-    }
-
     /// Returns the kind (element or text) of a node.
     pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.node(id).data.kind()
+        self.node(id).kind()
     }
 
     /// Returns `true` if the node is an element.
@@ -307,22 +313,28 @@ impl Document {
 
     /// Returns the tag name of an element node (`None` for text nodes).
     pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        self.node(id).data.tag()
+        self.tag_sym(id).map(|s| self.interner.resolve(s))
     }
 
     /// Returns the character data of a text node (`None` for elements).
     pub fn text_content(&self, id: NodeId) -> Option<&str> {
-        self.node(id).data.text()
+        let node = self.node(id);
+        (node.kind() == NodeKind::Text).then(|| &self.text[node.span()])
     }
 
-    /// Returns the attributes of an element (empty for text nodes).
-    pub fn attributes(&self, id: NodeId) -> &[Attribute] {
-        self.node(id).data.attributes()
+    /// Returns the attributes of an element as `(name, value)` pairs (empty
+    /// for text nodes).
+    pub fn attributes(&self, id: NodeId) -> Attributes<'_> {
+        Attributes::new(self.attr_syms(id), &self.interner)
     }
 
-    /// Looks up an attribute value by name.
+    /// Looks up an attribute value by name (the first attribute of that
+    /// name, should the markup repeat it).
     pub fn attribute(&self, id: NodeId, name: &str) -> Option<&str> {
-        self.node(id).data.attribute(name)
+        self.attributes(id)
+            .iter()
+            .find(|&(n, _)| n == name)
+            .map(|(_, v)| v)
     }
 
     /// Returns `true` if the element carries the given attribute.
@@ -356,20 +368,23 @@ impl Document {
     /// The interned tag name of an element (`None` for text nodes).
     pub fn tag_sym(&self, id: NodeId) -> Option<Sym> {
         let node = self.node(id);
-        (node.tag_sym != Sym::UNSET).then_some(node.tag_sym)
+        (node.tag != Sym::UNSET).then_some(node.tag)
     }
 
     /// The interned `(name, value)` pairs of an element's attributes, in
     /// insertion order (empty for text nodes).
     pub fn attr_syms(&self, id: NodeId) -> &[(Sym, Sym)] {
-        &self.node(id).attr_syms
+        let node = self.node(id);
+        match node.kind() {
+            NodeKind::Element => &self.attrs[node.span()],
+            NodeKind::Text => &[],
+        }
     }
 
     /// The interned value of the attribute with interned name `name`, if the
     /// element carries it.
     pub fn attribute_value_sym(&self, id: NodeId, name: Sym) -> Option<Sym> {
-        self.node(id)
-            .attr_syms
+        self.attr_syms(id)
             .iter()
             .find(|&&(n, _)| n == name)
             .map(|&(_, v)| v)
@@ -384,7 +399,7 @@ impl Document {
     /// Returns `true` if the element carries an attribute with interned name
     /// `name`.
     pub fn has_attribute_sym(&self, id: NodeId, name: Sym) -> bool {
-        self.node(id).attr_syms.iter().any(|&(n, _)| n == name)
+        self.attr_syms(id).iter().any(|&(n, _)| n == name)
     }
 
     // ------------------------------------------------------------------
@@ -568,10 +583,10 @@ impl Document {
         // Interned tags make the per-sibling comparison one integer compare;
         // text nodes all carry the UNSET sentinel, which preserves "text
         // nodes are counted together" (elements always have a real symbol).
-        let id_sym = self.node(id).tag_sym;
+        let id_sym = self.node(id).tag;
         let mut index = 0;
         for c in self.children(parent) {
-            let same = self.node(c).tag_sym == id_sym;
+            let same = self.node(c).tag == id_sym;
             if same {
                 index += 1;
             }
@@ -687,18 +702,16 @@ impl Document {
     /// for elements the concatenation of all descendant text nodes in
     /// document order.
     pub fn text_value(&self, id: NodeId) -> String {
-        match self.data(id) {
-            NodeData::Text(t) => t.clone(),
-            NodeData::Element { .. } => {
-                let mut out = String::new();
-                for d in self.descendants(id) {
-                    if let NodeData::Text(t) = self.data(d) {
-                        out.push_str(t);
-                    }
-                }
-                out
+        if let Some(t) = self.text_content(id) {
+            return t.to_string();
+        }
+        let mut out = String::new();
+        for d in self.descendants(id) {
+            if let Some(t) = self.text_content(d) {
+                out.push_str(t);
             }
         }
+        out
     }
 
     /// `normalize-space(.)` applied to the node's string-value: leading and
@@ -714,18 +727,18 @@ impl Document {
     pub fn vocabulary(&self) -> std::collections::BTreeSet<String> {
         let mut words = std::collections::BTreeSet::new();
         for id in self.descendants_or_self(self.root) {
-            match self.data(id) {
-                NodeData::Text(t) => {
+            match self.text_content(id) {
+                Some(t) => {
                     for w in t.split_whitespace() {
                         words.insert(w.to_string());
                     }
                 }
-                NodeData::Element { attributes, .. } => {
-                    for a in attributes {
-                        for w in a.value.split_whitespace() {
+                None => {
+                    for (_, value) in self.attributes(id) {
+                        for w in value.split_whitespace() {
                             words.insert(w.to_string());
                         }
-                        words.insert(a.value.clone());
+                        words.insert(value.to_string());
                     }
                 }
             }
@@ -741,17 +754,12 @@ impl Document {
             return true;
         }
         for id in self.descendants_or_self(self.root) {
-            match self.data(id) {
-                NodeData::Text(t) => {
-                    if t.contains(needle) {
-                        return true;
-                    }
-                }
-                NodeData::Element { attributes, .. } => {
-                    if attributes.iter().any(|a| a.value.contains(needle)) {
-                        return true;
-                    }
-                }
+            let found = match self.text_content(id) {
+                Some(t) => t.contains(needle),
+                None => self.attributes(id).iter().any(|(_, v)| v.contains(needle)),
+            };
+            if found {
+                return true;
             }
         }
         false
@@ -847,6 +855,13 @@ impl Document {
     pub fn element_count(&self) -> usize {
         self.hash_index().element_count()
     }
+}
+
+/// Converts a buffer offset or length to the `u32` a node slot stores.  The
+/// parser rejects inputs of 4 GiB or more, so only an edit history that
+/// grows one document's buffers past that can trip this.
+pub(crate) fn span_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("document buffers are limited to 4 GiB")
 }
 
 /// XPath `normalize-space` on an arbitrary string.

@@ -29,7 +29,7 @@
 
 use crate::document::Document;
 use crate::fx::FxHasher;
-use crate::node::{NodeData, NodeId};
+use crate::node::NodeId;
 use crate::order::OrderIndex;
 use std::hash::Hasher;
 
@@ -102,26 +102,17 @@ impl HashIndex {
     /// Builds the index for `doc` over its (already built) order index.
     pub fn build(doc: &Document, order: &OrderIndex, epoch: u64) -> HashIndex {
         // One content hash per interned string; symbols index this table.
-        let sym_hashes: Vec<u64> = doc
-            .interner()
-            .strings()
-            .iter()
-            .map(|s| str_hash(s))
-            .collect();
+        let sym_hashes: Vec<u64> = doc.interner().strings().map(str_hash).collect();
         let nodes = order.nodes_in_order();
         let mut hashes = vec![0u64; nodes.len()];
         let mut elements = 0usize;
         for (pos, &id) in nodes.iter().enumerate().rev() {
-            hashes[pos] = match doc.data(id) {
-                NodeData::Text(t) => text_hash(str_hash(t)),
-                NodeData::Element { .. } => {
+            hashes[pos] = match doc.tag_sym(id) {
+                None => text_hash(str_hash(doc.text_content(id).unwrap_or_default())),
+                Some(tag) => {
                     elements += 1;
-                    let tag = doc
-                        .tag_sym(id)
-                        .map(|s| sym_hashes[s.index()])
-                        .unwrap_or_default();
                     element_hash(
-                        tag,
+                        sym_hashes[tag.index()],
                         doc.attr_syms(id)
                             .iter()
                             .map(|&(n, v)| (sym_hashes[n.index()], sym_hashes[v.index()])),
@@ -160,13 +151,13 @@ impl HashIndex {
 /// construction `str_hash(interner.resolve(sym))` equals the per-symbol
 /// table entry, so this agrees with the indexed build.
 pub(crate) fn hash_detached(doc: &Document, id: NodeId) -> u64 {
-    match doc.data(id) {
-        NodeData::Text(t) => text_hash(str_hash(t)),
-        NodeData::Element { tag, attributes } => element_hash(
+    match doc.tag_name(id) {
+        None => text_hash(str_hash(doc.text_content(id).unwrap_or_default())),
+        Some(tag) => element_hash(
             str_hash(tag),
-            attributes
+            doc.attributes(id)
                 .iter()
-                .map(|a| (str_hash(&a.name), str_hash(&a.value))),
+                .map(|(n, v)| (str_hash(n), str_hash(v))),
             doc.children(id).map(|c| hash_detached(doc, c)),
         ),
     }
@@ -187,19 +178,10 @@ pub fn structural_hash(doc: &Document, id: NodeId) -> u64 {
 /// Structural (node-id free) equality of two subtrees, possibly from
 /// different documents.
 pub fn subtree_equal(doc_a: &Document, a: NodeId, doc_b: &Document, b: NodeId) -> bool {
-    match (doc_a.data(a), doc_b.data(b)) {
-        (NodeData::Text(ta), NodeData::Text(tb)) => ta == tb,
-        (
-            NodeData::Element {
-                tag: tag_a,
-                attributes: attrs_a,
-            },
-            NodeData::Element {
-                tag: tag_b,
-                attributes: attrs_b,
-            },
-        ) => {
-            if tag_a != tag_b || attrs_a != attrs_b {
+    match (doc_a.tag_name(a), doc_b.tag_name(b)) {
+        (None, None) => doc_a.text_content(a) == doc_b.text_content(b),
+        (Some(tag_a), Some(tag_b)) => {
+            if tag_a != tag_b || doc_a.attributes(a) != doc_b.attributes(b) {
                 return false;
             }
             let mut ca = doc_a.children(a);

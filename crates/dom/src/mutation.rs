@@ -6,9 +6,11 @@
 //! here as safe structural edits on the arena.  Detached nodes stay in the
 //! arena (ids are never reused) but are excluded from all navigation.
 
+use crate::document::span_u32;
 use crate::document::Document;
 use crate::error::{DomError, Result};
-use crate::node::{Attribute, NodeData, NodeId};
+use crate::intern::Sym;
+use crate::node::{Attribute, NodeId, NodeKind};
 
 impl Document {
     /// Appends `child` as the last child of `parent`.
@@ -167,13 +169,9 @@ impl Document {
     pub fn rename_element(&mut self, id: NodeId, new_tag: impl Into<String>) -> Result<()> {
         self.check(id)?;
         self.invalidate_indexes();
-        match &mut self.node_mut(id).data {
-            NodeData::Element { tag, .. } => {
-                *tag = new_tag.into();
-            }
-            NodeData::Text(_) => return Err(DomError::NotAnElement(id.index() as u32)),
-        }
-        self.sync_syms(id);
+        self.element(id)?;
+        let tag = self.interner.intern(&new_tag.into());
+        self.node_mut(id).tag = tag;
         Ok(())
     }
 
@@ -186,19 +184,22 @@ impl Document {
     ) -> Result<()> {
         self.check(id)?;
         self.invalidate_indexes();
-        let name = name.into();
-        let value = value.into();
-        match &mut self.node_mut(id).data {
-            NodeData::Element { attributes, .. } => {
-                if let Some(a) = attributes.iter_mut().find(|a| a.name == name) {
-                    a.value = value;
-                } else {
-                    attributes.push(Attribute::new(name, value));
-                }
-            }
-            NodeData::Text(_) => return Err(DomError::NotAnElement(id.index() as u32)),
+        let span = self.element(id)?;
+        let name = self.interner.intern(&name.into());
+        let value = self.interner.intern(&value.into());
+        if let Some(pair) = self.attrs[span.clone()].iter_mut().find(|p| p.0 == name) {
+            pair.1 = value;
+            return Ok(());
         }
-        self.sync_syms(id);
+        // Grow the span: in place when it ends the buffer, else by moving
+        // the element's pairs to the end (attribute spans are never shared).
+        if span.end != self.attrs.len() {
+            let start = self.attrs.len();
+            self.attrs.extend_from_within(span.clone());
+            self.node_mut(id).start = span_u32(start);
+        }
+        self.attrs.push((name, value));
+        self.node_mut(id).len += 1;
         Ok(())
     }
 
@@ -206,28 +207,46 @@ impl Document {
     pub fn remove_attribute(&mut self, id: NodeId, name: &str) -> Result<bool> {
         self.check(id)?;
         self.invalidate_indexes();
-        let existed = match &mut self.node_mut(id).data {
-            NodeData::Element { attributes, .. } => {
-                let before = attributes.len();
-                attributes.retain(|a| a.name != name);
-                attributes.len() != before
-            }
-            NodeData::Text(_) => return Err(DomError::NotAnElement(id.index() as u32)),
+        let span = self.element(id)?;
+        let Some(name) = self.interner.get(name) else {
+            return Ok(false);
         };
-        self.sync_syms(id);
-        Ok(existed)
+        // Compact the survivors to the front of the element's own span.
+        let mut kept = span.start;
+        for i in span.clone() {
+            if self.attrs[i].0 != name {
+                self.attrs[kept] = self.attrs[i];
+                kept += 1;
+            }
+        }
+        self.node_mut(id).len = span_u32(kept - span.start);
+        Ok(kept != span.end)
     }
 
     /// Replaces the character data of a text node.
     pub fn set_text(&mut self, id: NodeId, content: impl Into<String>) -> Result<()> {
         self.check(id)?;
         self.invalidate_indexes();
-        match &mut self.node_mut(id).data {
-            NodeData::Text(t) => {
-                *t = content.into();
-                Ok(())
-            }
-            NodeData::Element { .. } => Err(DomError::NotAnElement(id.index() as u32)),
+        if self.kind(id) != NodeKind::Text {
+            return Err(DomError::NotAnElement(id.index() as u32));
+        }
+        // Text spans are immutable (copies may share them): append and
+        // re-point rather than overwrite.
+        let content = content.into();
+        let start = span_u32(self.text.len());
+        self.text.push_str(&content);
+        let node = self.node_mut(id);
+        node.start = start;
+        node.len = span_u32(content.len());
+        Ok(())
+    }
+
+    /// The attribute span of an element; an error for text nodes.
+    fn element(&self, id: NodeId) -> Result<std::ops::Range<usize>> {
+        let node = self.node(id);
+        match node.kind() {
+            NodeKind::Element => Ok(node.span()),
+            NodeKind::Text => Err(DomError::NotAnElement(id.index() as u32)),
         }
     }
 
@@ -273,6 +292,9 @@ impl Document {
 
     /// Deep-copies the subtree rooted at `src` of `source` into this document
     /// under `parent`, returning the id of the copied root.
+    ///
+    /// Payloads cross as strings and are re-interned into this document, so
+    /// no symbol of `source` leaks in (see [`crate::intern`]).
     pub fn import_subtree(
         &mut self,
         source: &Document,
@@ -281,8 +303,10 @@ impl Document {
     ) -> Result<NodeId> {
         self.check(parent)?;
         source.check(src)?;
-        let data = source.data(src).clone();
-        let new_id = self.alloc(data);
+        let new_id = match source.tag_name(src) {
+            Some(tag) => self.alloc_element(tag, source.attributes(src)),
+            None => self.alloc_text(source.text_content(src).unwrap_or_default()),
+        };
         self.append_child(parent, new_id)?;
         let children: Vec<NodeId> = source.children(src).collect();
         for c in children {
@@ -305,8 +329,10 @@ impl Document {
     }
 
     fn snapshot_subtree(&self, id: NodeId) -> SubtreeSnapshot {
+        let node = self.node(id);
         SubtreeSnapshot {
-            data: self.data(id).clone(),
+            tag: node.tag,
+            span: node.span(),
             children: self
                 .children(id)
                 .map(|c| self.snapshot_subtree(c))
@@ -315,7 +341,16 @@ impl Document {
     }
 
     fn build_snapshot(&mut self, snapshot: &SubtreeSnapshot, parent: NodeId) -> Result<NodeId> {
-        let id = self.alloc(snapshot.data.clone());
+        let span = snapshot.span.clone();
+        let id = if snapshot.tag == Sym::UNSET {
+            // Text spans are immutable, so the copy may share the bytes.
+            self.alloc(Sym::UNSET, span.start, span.len())
+        } else {
+            // Attribute spans are edited in place: the copy gets its own.
+            let start = self.attrs.len();
+            self.attrs.extend_from_within(span.clone());
+            self.alloc(snapshot.tag, start, span.len())
+        };
         self.append_child(parent, id)?;
         for child in &snapshot.children {
             self.build_snapshot(child, id)?;
@@ -324,10 +359,11 @@ impl Document {
     }
 }
 
-/// An owned copy of a subtree's payloads, taken before a clone mutates the
-/// tree.
+/// A copy of a subtree's payload handles, taken before a clone mutates the
+/// tree.  Symbols and buffer spans stay valid while the buffers grow.
 struct SubtreeSnapshot {
-    data: NodeData,
+    tag: Sym,
+    span: std::ops::Range<usize>,
     children: Vec<SubtreeSnapshot>,
 }
 

@@ -1,13 +1,30 @@
-//! Node identifiers and node payloads.
+//! Node identifiers, the arena slot layout, and the borrowed attribute view.
 //!
 //! A [`Document`](crate::Document) stores all nodes in a single arena
-//! (`Vec<NodeData>`).  Nodes are referred to by [`NodeId`], a thin wrapper
+//! (`Vec<Node>`).  Nodes are referred to by [`NodeId`], a thin wrapper
 //! around the arena index.  Two kinds of nodes exist in the tree proper:
-//! element nodes and text nodes.  Attributes are not tree nodes; they are
-//! stored inline on their owning element (mirroring how the paper treats the
-//! `attribute` axis as a terminal step).
+//! element nodes and text nodes.  Attributes are not tree nodes; they belong
+//! to their owning element (mirroring how the paper treats the `attribute`
+//! axis as a terminal step).
+//!
+//! # Layout
+//!
+//! A slot owns no heap memory.  It holds its tag as an interned [`Sym`]
+//! ([`Sym::UNSET`] marks a text node), its structural links, and one
+//! `(start, len)` span:
+//!
+//! * for an element, into the document-wide `Vec<(Sym, Sym)>` of
+//!   attribute `(name, value)` symbols;
+//! * for a text node, into the document-wide text `String`.
+//!
+//! Every string therefore lives once, either in the interner (names and
+//! attribute values, see [`crate::intern`]) or in the text buffer, and a
+//! parsed page is a handful of heap blocks however many nodes it has.  Text
+//! spans are immutable (`set_text` appends and re-points), so copies of a
+//! text node may share one; attribute spans are edited in place and are
+//! never shared between nodes.
 
-use crate::intern::Sym;
+use crate::intern::{Interner, Sym};
 use std::fmt;
 
 /// Identifier of a node within a [`Document`](crate::Document) arena.
@@ -40,7 +57,10 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A single attribute of an element node.
+/// An owned attribute, the input form of
+/// [`Document::create_element`](crate::Document::create_element) and the
+/// tree builders.  A document itself stores attributes as interned symbols
+/// and hands them out as an [`Attributes`] view.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name (lower-cased by the parser, kept verbatim by builders).
@@ -68,81 +88,19 @@ pub enum NodeKind {
     Text,
 }
 
-/// The payload of a node: either an element (tag name plus attributes) or a
-/// text node (character data).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeData {
-    /// Element payload.
-    Element {
-        /// Tag name, e.g. `div`.
-        tag: String,
-        /// Attributes in insertion order.
-        attributes: Vec<Attribute>,
-    },
-    /// Text payload.
-    Text(
-        /// The character data of the node.
-        String,
-    ),
-}
-
-impl NodeData {
-    /// Returns the kind of this payload.
-    pub fn kind(&self) -> NodeKind {
-        match self {
-            NodeData::Element { .. } => NodeKind::Element,
-            NodeData::Text(_) => NodeKind::Text,
-        }
-    }
-
-    /// Returns the tag name if this is an element.
-    pub fn tag(&self) -> Option<&str> {
-        match self {
-            NodeData::Element { tag, .. } => Some(tag),
-            NodeData::Text(_) => None,
-        }
-    }
-
-    /// Returns the text content if this is a text node.
-    pub fn text(&self) -> Option<&str> {
-        match self {
-            NodeData::Text(t) => Some(t),
-            NodeData::Element { .. } => None,
-        }
-    }
-
-    /// Returns the attributes if this is an element (empty slice for text).
-    pub fn attributes(&self) -> &[Attribute] {
-        match self {
-            NodeData::Element { attributes, .. } => attributes,
-            NodeData::Text(_) => &[],
-        }
-    }
-
-    /// Looks up an attribute value by name.
-    pub fn attribute(&self, name: &str) -> Option<&str> {
-        self.attributes()
-            .iter()
-            .find(|a| a.name == name)
-            .map(|a| a.value.as_str())
-    }
-}
-
-/// Internal arena slot: payload plus structural links.
+/// Internal arena slot: tag symbol, payload span and structural links.
 ///
 /// The sibling/child links implement a classic first-child/next-sibling tree
 /// with additional `prev_sibling` and `last_child` pointers so that all four
 /// sibling-related axes are O(1) per step.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
-    pub(crate) data: NodeData,
-    /// Interned tag name ([`Sym::UNSET`] for text nodes).  Kept in sync with
-    /// `data` by `Document::sync_syms`, which the arena allocator and every
-    /// payload-mutating operation call; see [`crate::intern`].
-    pub(crate) tag_sym: Sym,
-    /// Interned `(name, value)` of each attribute, parallel to
-    /// `data.attributes()`.  Same sync contract as `tag_sym`.
-    pub(crate) attr_syms: Vec<(Sym, Sym)>,
+    /// Interned tag name; [`Sym::UNSET`] for text nodes.
+    pub(crate) tag: Sym,
+    /// Start of the payload span (attribute pairs or text bytes).
+    pub(crate) start: u32,
+    /// Length of the payload span.
+    pub(crate) len: u32,
     pub(crate) parent: Option<NodeId>,
     pub(crate) first_child: Option<NodeId>,
     pub(crate) last_child: Option<NodeId>,
@@ -154,11 +112,11 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    pub(crate) fn new(data: NodeData) -> Self {
+    pub(crate) fn new(tag: Sym, start: u32, len: u32) -> Self {
         Node {
-            data,
-            tag_sym: Sym::UNSET,
-            attr_syms: Vec::new(),
+            tag,
+            start,
+            len,
             parent: None,
             first_child: None,
             last_child: None,
@@ -167,7 +125,98 @@ impl Node {
             detached: false,
         }
     }
+
+    pub(crate) fn kind(&self) -> NodeKind {
+        if self.tag == Sym::UNSET {
+            NodeKind::Text
+        } else {
+            NodeKind::Element
+        }
+    }
+
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
+
+/// The attributes of one element as `(name, value)` string pairs, in
+/// insertion order: a borrowed view over the document's interned symbols
+/// (empty for text nodes).
+#[derive(Clone, Copy)]
+pub struct Attributes<'a> {
+    syms: &'a [(Sym, Sym)],
+    interner: &'a Interner,
+}
+
+impl<'a> Attributes<'a> {
+    pub(crate) fn new(syms: &'a [(Sym, Sym)], interner: &'a Interner) -> Self {
+        Attributes { syms, interner }
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.syms.len()
+    }
+
+    /// `true` when the element carries no attribute.
+    pub fn is_empty(&self) -> bool {
+        self.syms.is_empty()
+    }
+
+    /// Iterator over the `(name, value)` pairs.
+    pub fn iter(&self) -> AttributesIter<'a> {
+        AttributesIter {
+            syms: self.syms.iter(),
+            interner: self.interner,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Attributes<'a> {
+    type Item = (&'a str, &'a str);
+    type IntoIter = AttributesIter<'a>;
+
+    fn into_iter(self) -> AttributesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Two views are equal when they list the same strings in the same order,
+/// whichever documents (interner numberings) they come from.
+impl PartialEq for Attributes<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Attributes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over an element's `(name, value)` attribute pairs.
+#[derive(Debug, Clone)]
+pub struct AttributesIter<'a> {
+    syms: std::slice::Iter<'a, (Sym, Sym)>,
+    interner: &'a Interner,
+}
+
+impl<'a> Iterator for AttributesIter<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
+        self.syms
+            .next()
+            .map(|&(n, v)| (self.interner.resolve(n), self.interner.resolve(v)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.syms.size_hint()
+    }
+}
+
+impl ExactSizeIterator for AttributesIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -181,25 +230,29 @@ mod tests {
     }
 
     #[test]
-    fn node_data_accessors() {
-        let el = NodeData::Element {
-            tag: "div".into(),
-            attributes: vec![Attribute::new("id", "main"), Attribute::new("class", "x")],
-        };
-        assert_eq!(el.kind(), NodeKind::Element);
-        assert_eq!(el.tag(), Some("div"));
-        assert_eq!(el.text(), None);
-        assert_eq!(el.attribute("id"), Some("main"));
-        assert_eq!(el.attribute("class"), Some("x"));
-        assert_eq!(el.attribute("missing"), None);
-        assert_eq!(el.attributes().len(), 2);
+    fn attribute_view_resolves_pairs() {
+        let mut interner = Interner::new();
+        let syms = vec![
+            (interner.intern("id"), interner.intern("main")),
+            (interner.intern("class"), interner.intern("x")),
+        ];
+        let view = Attributes::new(&syms, &interner);
+        assert_eq!(view.len(), 2);
+        assert!(!view.is_empty());
+        let pairs: Vec<_> = view.into_iter().collect();
+        assert_eq!(pairs, vec![("id", "main"), ("class", "x")]);
+        assert_eq!(format!("{view:?}"), r#"[("id", "main"), ("class", "x")]"#);
 
-        let txt = NodeData::Text("hello".into());
-        assert_eq!(txt.kind(), NodeKind::Text);
-        assert_eq!(txt.tag(), None);
-        assert_eq!(txt.text(), Some("hello"));
-        assert!(txt.attributes().is_empty());
-        assert_eq!(txt.attribute("id"), None);
+        // Equality is by strings, not by symbol numbering.
+        let mut other = Interner::new();
+        other.intern("padding");
+        let other_syms = vec![
+            (other.intern("id"), other.intern("main")),
+            (other.intern("class"), other.intern("x")),
+        ];
+        assert_eq!(view, Attributes::new(&other_syms, &other));
+        assert_ne!(view, Attributes::new(&other_syms[..1], &other));
+        assert!(Attributes::new(&[], &interner).is_empty());
     }
 
     #[test]

@@ -43,7 +43,6 @@
 use crate::document::Document;
 use crate::intern::Sym;
 use crate::node::NodeId;
-use std::collections::HashMap;
 
 /// Sentinel pre/post number for arena slots not reachable from the root.
 const NOT_IN_TREE: u32 = u32::MAX;
@@ -191,30 +190,55 @@ impl OrderIndex {
 
 /// Tag-name → elements (in document order) lookup for a [`Document`].
 ///
-/// Keyed by interned tag [`Sym`]s (see [`crate::intern`]), so building it
-/// allocates no strings and a lookup by symbol is one integer-keyed hash
-/// probe.  Built lazily from the pre-order sequence of the [`OrderIndex`];
-/// shares the same epoch-based invalidation contract (see the
-/// [module documentation](self)).  Symbols themselves survive mutations —
-/// only the node lists are rebuilt.
+/// Keyed by interned tag [`Sym`]s (see [`crate::intern`]) in a
+/// compressed-sparse-row layout: one array of every element grouped by tag,
+/// and one array of group offsets indexed by symbol.  Building it is a
+/// counting sort (no hashing, two heap blocks however many tags the page
+/// uses), and a lookup by symbol is two array reads.  Built lazily from the
+/// pre-order sequence of the [`OrderIndex`]; shares the same epoch-based
+/// invalidation contract (see the [module documentation](self)).  Symbols
+/// themselves survive mutations — only the node lists are rebuilt.
 #[derive(Debug, Clone)]
 pub struct TagIndex {
     epoch: u64,
-    by_tag: HashMap<Sym, Vec<NodeId>>,
+    /// `starts[s]..starts[s + 1]` is the range of `nodes` holding the
+    /// elements whose tag has symbol index `s`.
+    starts: Vec<u32>,
+    /// Every indexed element, grouped by tag, each group in document order.
+    nodes: Vec<NodeId>,
 }
 
 impl TagIndex {
     pub(crate) fn build(doc: &Document, order: &OrderIndex) -> TagIndex {
-        let mut by_tag: HashMap<Sym, Vec<NodeId>> = HashMap::new();
         // Skip the synthetic root: `elements_by_tag` has never reported it.
-        for &id in order.nodes_in_order().iter().skip(1) {
-            if let Some(sym) = doc.tag_sym(id) {
-                by_tag.entry(sym).or_default().push(id);
-            }
+        let elements = || {
+            order
+                .nodes_in_order()
+                .iter()
+                .skip(1)
+                .filter_map(|&id| doc.tag_sym(id).map(|sym| (sym.index(), id)))
+        };
+        let mut starts = vec![0u32; doc.interner().len() + 1];
+        for (sym, _) in elements() {
+            starts[sym + 1] += 1;
         }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        // Fill each group through its start offset, which leaves `starts[s]`
+        // at the group's end (`starts[s + 1]` before the fill) …
+        let mut nodes = vec![NodeId(0); starts[starts.len() - 1] as usize];
+        for (sym, id) in elements() {
+            nodes[starts[sym] as usize] = id;
+            starts[sym] += 1;
+        }
+        // … so shifting the offsets right by one restores them.
+        starts.rotate_right(1);
+        starts[0] = 0;
         TagIndex {
             epoch: order.epoch(),
-            by_tag,
+            starts,
+            nodes,
         }
     }
 
@@ -232,12 +256,15 @@ impl TagIndex {
     /// which guarantees that pairing; `TagIndex` deliberately offers no
     /// `&str` entry point that could be fed a foreign document's interner.
     pub fn nodes_sym(&self, tag: Sym) -> &[NodeId] {
-        self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or(&[])
+        match self.starts.get(tag.index()..tag.index() + 2) {
+            Some(&[start, end]) => &self.nodes[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Number of distinct tag names in the document.
     pub fn tag_count(&self) -> usize {
-        self.by_tag.len()
+        self.starts.windows(2).filter(|w| w[0] < w[1]).count()
     }
 }
 

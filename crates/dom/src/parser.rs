@@ -17,10 +17,31 @@
 //! It is not a full HTML5 tree construction algorithm, but it handles the
 //! documents produced by [`crate::serializer::to_html`] (round-trip) and the
 //! kind of markup found on template-driven sites.
+//!
+//! # One pass, straight into the arena
+//!
+//! The parser writes the compact arena of [`crate::node`] directly: tags and
+//! attributes are interned as they are read (so symbols are numbered in
+//! first-use order), text goes straight into the document's text buffer,
+//! and each node is linked under the innermost open element without the
+//! cycle check and index invalidation that the public mutation API pays
+//! per call.  Names are lower-cased into one reused buffer, and entities
+//! are decoded only where an `&` occurs.
+//!
+//! The same parser is the trust boundary for HTTP request bodies, so every
+//! step is linear in the input, whatever its shape:
+//!
+//! * the open-element stack keeps a count of open elements per tag symbol,
+//!   so an end tag (or an auto-closing start tag) whose tag is not open is
+//!   rejected in O(1), and closing pops each element at most once;
+//! * `<script>`/`<style>` bodies are scanned once, in place, for their
+//!   close tag, ignoring ASCII case;
+//! * comments and other markup are skipped in one forward scan.
 
-use crate::builder::DocumentBuilder;
-use crate::document::Document;
+use crate::document::{span_u32, Document};
 use crate::error::{DomError, Result};
+use crate::intern::Sym;
+use crate::node::{Node, NodeId};
 
 /// Options controlling HTML parsing.
 #[derive(Debug, Clone)]
@@ -59,14 +80,29 @@ const AUTO_CLOSE_SAME: &[&str] = &["li", "p", "td", "th", "tr", "option", "dt", 
 /// Tags with raw-text content.
 const RAW_TEXT: &[&str] = &["script", "style"];
 
+/// Tag-class bits, cached per tag symbol.
+const VOID: u8 = 1;
+const AUTO_CLOSE: u8 = 2;
+const RAW: u8 = 4;
+const CLASSIFIED: u8 = 0x80;
+
 /// Parses HTML text into a [`Document`] using default options.
 pub fn parse_html(input: &str) -> Result<Document> {
-    Parser::new(input, ParseOptions::default()).parse()
+    parse_html_with(input, ParseOptions::default())
 }
 
 /// Parses HTML text with explicit [`ParseOptions`].
+///
+/// Fails only for inputs of 4 GiB or more, whose offsets the arena's
+/// 32-bit spans cannot hold; any smaller input parses (tag soup included).
 pub fn parse_html_with(input: &str, options: ParseOptions) -> Result<Document> {
-    Parser::new(input, options).parse()
+    if input.len() >= u32::MAX as usize {
+        return Err(DomError::Parse {
+            offset: 0,
+            message: "input of 4 GiB or more".into(),
+        });
+    }
+    Ok(Parser::new(input, options).parse())
 }
 
 struct Parser<'a> {
@@ -74,147 +110,172 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     options: ParseOptions,
-    builder: DocumentBuilder,
+    doc: Document,
+    /// Open elements, innermost last; `stack[0]` is the synthetic root.
+    stack: Vec<NodeId>,
+    /// Number of open elements (root excluded) per tag symbol index.
+    open: Vec<u32>,
+    /// Tag-class bits per symbol index (`0` until first used as a tag).
+    class: Vec<u8>,
+    /// Reused buffer for lower-cased names and decoded attribute values.
+    buf: String,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str, options: ParseOptions) -> Self {
+        // Size the buffers for a typical page (about one node per 26 bytes
+        // of markup) without letting a huge body reserve memory up front.
+        let hint = input.len().min(1 << 20);
+        let mut doc = Document::with_capacity(hint / 24 + 8, hint / 48 + 4, hint / 3);
+        doc.interner.reserve(hint / 64 + 16, hint / 16 + 64);
         Parser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             options,
-            builder: DocumentBuilder::new(),
+            doc,
+            stack: vec![NodeId(0)],
+            open: Vec::new(),
+            class: Vec::new(),
+            buf: String::new(),
         }
     }
 
-    fn parse(mut self) -> Result<Document> {
+    fn parse(mut self) -> Document {
         while self.pos < self.bytes.len() {
             if self.bytes[self.pos] == b'<' {
-                self.parse_markup()?;
+                self.parse_markup();
             } else {
                 self.parse_text();
             }
         }
-        Ok(self.builder.finish_lenient())
+        self.doc
     }
 
-    fn error(&self, message: impl Into<String>) -> DomError {
-        DomError::Parse {
-            offset: self.pos,
-            message: message.into(),
+    /// Links a new node as the last child of the innermost open element.
+    /// Parsing only ever appends, so there is no cycle to check and no
+    /// index to invalidate (none can have been built yet).
+    fn append(&mut self, tag: Sym, start: usize, len: usize) -> NodeId {
+        let nodes = &mut self.doc.nodes;
+        let id = NodeId(nodes.len() as u32);
+        let parent = self.stack[self.stack.len() - 1];
+        let mut node = Node::new(tag, span_u32(start), span_u32(len));
+        node.parent = Some(parent);
+        node.prev_sibling = nodes[parent.index()].last_child;
+        match node.prev_sibling {
+            Some(prev) => nodes[prev.index()].next_sibling = Some(id),
+            None => nodes[parent.index()].first_child = Some(id),
         }
+        nodes[parent.index()].last_child = Some(id);
+        nodes.push(node);
+        id
+    }
+
+    fn append_text(&mut self, start: usize) {
+        let len = self.doc.text.len() - start;
+        self.append(Sym::UNSET, start, len);
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
         self.bytes.get(self.pos + ahead).copied()
     }
 
-    fn starts_with(&self, prefix: &str) -> bool {
-        self.input[self.pos..].len() >= prefix.len()
-            && self.input[self.pos..self.pos + prefix.len()].eq_ignore_ascii_case(prefix)
-    }
-
     fn parse_text(&mut self) {
         let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
-            self.pos += 1;
-        }
+        self.pos = find_byte(self.bytes, start, b'<').unwrap_or(self.bytes.len());
         let raw = &self.input[start..self.pos];
-        let decoded = if self.options.decode_entities {
-            decode_entities(raw)
+        let text = &mut self.doc.text;
+        let t0 = text.len();
+        if self.options.decode_entities && raw.as_bytes().contains(&b'&') {
+            decode_entities_into(raw, text);
         } else {
-            raw.to_string()
-        };
-        if self.options.skip_whitespace_text && decoded.trim().is_empty() {
+            text.push_str(raw);
+        }
+        if self.options.skip_whitespace_text && text[t0..].trim().is_empty() {
+            text.truncate(t0);
             return;
         }
-        self.builder.text(&decoded);
+        self.append_text(t0);
     }
 
-    fn parse_markup(&mut self) -> Result<()> {
+    fn parse_markup(&mut self) {
         debug_assert_eq!(self.bytes[self.pos], b'<');
         match self.peek(1) {
             Some(b'!') => {
-                if self.starts_with("<!--") {
+                if self.bytes[self.pos..].starts_with(b"<!--") {
                     self.skip_comment();
                 } else {
                     self.skip_until(b'>');
                 }
-                Ok(())
             }
-            Some(b'?') => {
-                self.skip_until(b'>');
-                Ok(())
-            }
-            Some(b'/') => {
-                self.parse_end_tag();
-                Ok(())
-            }
+            Some(b'?') => self.skip_until(b'>'),
+            Some(b'/') => self.parse_end_tag(),
             Some(c) if c.is_ascii_alphabetic() => self.parse_start_tag(),
             _ => {
                 // A bare '<' in text; treat it literally.
-                self.builder.text("<");
+                let t0 = self.doc.text.len();
+                self.doc.text.push('<');
+                self.append_text(t0);
                 self.pos += 1;
-                Ok(())
             }
         }
     }
 
     fn skip_comment(&mut self) {
         // self.pos is at "<!--"
-        if let Some(end) = self.input[self.pos..].find("-->") {
-            self.pos += end + 3;
-        } else {
-            self.pos = self.bytes.len();
+        match self.input[self.pos..].find("-->") {
+            Some(end) => self.pos += end + 3,
+            None => self.pos = self.bytes.len(),
         }
     }
 
     fn skip_until(&mut self, byte: u8) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != byte {
+        self.pos = match find_byte(self.bytes, self.pos, byte) {
+            Some(at) => at + 1,
+            None => self.bytes.len(),
+        };
+    }
+
+    /// Scans a tag name (`[A-Za-z0-9-]*`), returning its byte range.
+    fn scan_name(&mut self) -> (usize, usize) {
+        let start = self.pos;
+        while self.pos < self.bytes.len()
+            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'-')
+        {
             self.pos += 1;
         }
-        if self.pos < self.bytes.len() {
-            self.pos += 1;
-        }
+        (start, self.pos)
     }
 
     fn parse_end_tag(&mut self) {
         self.pos += 2; // consume "</"
-        let name_start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'-')
-        {
-            self.pos += 1;
-        }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
+        let (start, end) = self.scan_name();
         self.skip_until(b'>');
+        let input = self.input;
+        let name = lowered(&input[start..end], &self.options, &mut self.buf);
+        // Fast path: the end tag closes the innermost element; otherwise a
+        // name the interner has never seen cannot be open.
+        let top = self.doc.nodes[self.stack[self.stack.len() - 1].index()].tag;
+        let tag = if self.stack.len() > 1 && self.doc.interner.resolve(top) == name {
+            Some(top)
+        } else {
+            self.doc.interner.get(name)
+        };
         // Ignore stray end tags for elements that are not open.
-        if self.builder.has_open(&name) {
-            self.builder.close_until(&name);
+        if let Some(tag) = tag.filter(|&t| self.open_count(t) > 0) {
+            self.close_until(tag);
         }
     }
 
-    fn parse_start_tag(&mut self) -> Result<()> {
-        self.pos += 1; // consume '<'
-        let name_start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'-')
-        {
-            self.pos += 1;
-        }
-        if self.pos == name_start {
-            return Err(self.error("expected tag name after '<'"));
-        }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
-
-        let mut attributes: Vec<(String, String)> = Vec::new();
+    fn parse_start_tag(&mut self) {
+        // Consume '<'.  The name's first byte is a letter (see
+        // `parse_markup`), so it is never empty.
+        self.pos += 1;
+        let (start, end) = self.scan_name();
+        let input = self.input;
+        let name = lowered(&input[start..end], &self.options, &mut self.buf);
+        let tag = self.doc.interner.intern(name);
+        let attr_start = self.doc.attrs.len();
         let mut self_closing = false;
         loop {
             self.skip_whitespace();
@@ -233,9 +294,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    if let Some((n, v)) = self.parse_attribute() {
-                        attributes.push((n, v));
-                    } else {
+                    if !self.parse_attribute() {
                         // Could not make progress: skip one byte to avoid an
                         // infinite loop on malformed input.
                         self.pos += 1;
@@ -244,46 +303,84 @@ impl<'a> Parser<'a> {
             }
         }
 
-        // Implied end tags: <li> after <li>, <p> after <p>, etc.
-        if AUTO_CLOSE_SAME.contains(&name.as_str()) && self.builder.has_open(&name) {
-            // Only auto-close if the open element of the same name is the
-            // innermost open element of that name at the same list level; the
-            // simple heuristic of closing up to it is what tag-soup parsers do.
-            self.builder.close_until(&name);
+        let class = self.class_of(tag);
+        // Implied end tags: <li> after <li>, <p> after <p>, etc. — the simple
+        // tag-soup heuristic of closing up to the innermost open one.
+        if class & AUTO_CLOSE != 0 && self.open_count(tag) > 0 {
+            self.close_until(tag);
         }
 
-        let attr_refs: Vec<(&str, &str)> = attributes
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.as_str()))
-            .collect();
-        let is_void = VOID_ELEMENTS.contains(&name.as_str());
-        if is_void || self_closing {
-            self.builder.void_element(&name, &attr_refs);
-            return Ok(());
+        let id = self.append(tag, attr_start, self.doc.attrs.len() - attr_start);
+        if class & VOID != 0 || self_closing {
+            return;
         }
+        self.stack.push(id);
+        self.open[tag.index()] += 1;
 
-        self.builder.open_element(&name, &attr_refs);
-
-        if RAW_TEXT.contains(&name.as_str()) {
-            self.parse_raw_text(&name);
+        if class & RAW != 0 {
+            self.parse_raw_text(tag);
         }
-        Ok(())
     }
 
-    fn parse_raw_text(&mut self, tag: &str) {
-        let close = format!("</{tag}");
-        let rest = &self.input[self.pos..];
-        let end = rest.to_ascii_lowercase().find(&close).unwrap_or(rest.len());
-        let content = &rest[..end];
-        if !content.trim().is_empty() {
-            self.builder.text(content);
+    /// The class bits of a tag symbol, computed from its string on first
+    /// use.  Also sizes the per-symbol tables to cover `tag`.
+    fn class_of(&mut self, tag: Sym) -> u8 {
+        let i = tag.index();
+        if i >= self.class.len() {
+            let n = self.doc.interner.len();
+            self.class.resize(n, 0);
+            self.open.resize(n, 0);
         }
-        self.pos += end;
+        if self.class[i] == 0 {
+            let name = self.doc.interner.resolve(tag);
+            let mut bits = CLASSIFIED;
+            if VOID_ELEMENTS.contains(&name) {
+                bits |= VOID;
+            }
+            if AUTO_CLOSE_SAME.contains(&name) {
+                bits |= AUTO_CLOSE;
+            }
+            if RAW_TEXT.contains(&name) {
+                bits |= RAW;
+            }
+            self.class[i] = bits;
+        }
+        self.class[i]
+    }
+
+    fn open_count(&self, tag: Sym) -> u32 {
+        self.open.get(tag.index()).copied().unwrap_or(0)
+    }
+
+    /// Pops open elements up to and including the innermost one tagged
+    /// `tag`.  Callers check `open_count(tag) > 0` first, so the root is
+    /// never popped.
+    fn close_until(&mut self, tag: Sym) {
+        while self.stack.len() > 1 {
+            let Some(id) = self.stack.pop() else { break };
+            let t = self.doc.nodes[id.index()].tag;
+            self.open[t.index()] -= 1;
+            if t == tag {
+                break;
+            }
+        }
+    }
+
+    fn parse_raw_text(&mut self, tag: Sym) {
+        let close = self.doc.interner.resolve(tag).as_bytes();
+        let end = find_close_tag(self.bytes, self.pos, close).unwrap_or(self.bytes.len());
+        let content = &self.input[self.pos..end];
+        if !content.trim().is_empty() {
+            let t0 = self.doc.text.len();
+            self.doc.text.push_str(content);
+            self.append_text(t0);
+        }
+        self.pos = end;
         if self.pos < self.bytes.len() {
             // consume the end tag.
             self.skip_until(b'>');
         }
-        self.builder.close_until(tag);
+        self.close_until(tag);
     }
 
     fn skip_whitespace(&mut self) {
@@ -292,7 +389,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attribute(&mut self) -> Option<(String, String)> {
+    /// Parses one attribute onto the document's attribute buffer, interning
+    /// its name and then its value.  Returns `false` (consuming nothing)
+    /// when no attribute name starts here.
+    fn parse_attribute(&mut self) -> bool {
         let name_start = self.pos;
         while self.pos < self.bytes.len() {
             let b = self.bytes[self.pos];
@@ -302,30 +402,26 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         if self.pos == name_start {
-            return None;
+            return false;
         }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
+        let input = self.input;
+        let name = lowered(&input[name_start..self.pos], &self.options, &mut self.buf);
+        let name = self.doc.interner.intern(name);
         self.skip_whitespace();
         if self.peek(0) != Some(b'=') {
-            return Some((name, String::new()));
+            let value = self.doc.interner.intern("");
+            self.doc.attrs.push((name, value));
+            return true;
         }
         self.pos += 1; // consume '='
         self.skip_whitespace();
-        let value = match self.peek(0) {
+        let raw = match self.peek(0) {
             Some(q @ (b'"' | b'\'')) => {
-                self.pos += 1;
-                let start = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != q {
-                    self.pos += 1;
-                }
-                let v = self.input[start..self.pos].to_string();
-                if self.pos < self.bytes.len() {
-                    self.pos += 1; // closing quote
-                }
-                v
+                let start = self.pos + 1;
+                let end = find_byte(self.bytes, start, q).unwrap_or(self.bytes.len());
+                // Past the closing quote, if there is one.
+                self.pos = (end + 1).min(self.bytes.len());
+                &self.input[start..end]
             }
             _ => {
                 let start = self.pos;
@@ -336,16 +432,58 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                self.input[start..self.pos].to_string()
+                &self.input[start..self.pos]
             }
         };
-        let value = if self.options.decode_entities {
-            decode_entities(&value)
+        let value = if self.options.decode_entities && raw.as_bytes().contains(&b'&') {
+            self.buf.clear();
+            decode_entities_into(raw, &mut self.buf);
+            self.doc.interner.intern(&self.buf)
         } else {
-            value
+            self.doc.interner.intern(raw)
         };
-        Some((name, value))
+        self.doc.attrs.push((name, value));
+        true
     }
+}
+
+/// `name`, ASCII-lower-cased into `buf` if the options ask for it and it
+/// has an upper-case letter.
+fn lowered<'s>(name: &'s str, options: &ParseOptions, buf: &'s mut String) -> &'s str {
+    if options.lowercase_names && name.bytes().any(|b| b.is_ascii_uppercase()) {
+        buf.clear();
+        buf.push_str(name);
+        buf.make_ascii_lowercase();
+        buf
+    } else {
+        name
+    }
+}
+
+/// Position of the first `byte` in `bytes[from..]`, as an index into `bytes`.
+fn find_byte(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    bytes[from..]
+        .iter()
+        .position(|&b| b == byte)
+        .map(|at| from + at)
+}
+
+/// Position of the first `</tag` at or after `from`, comparing the tag
+/// ASCII-case-insensitively (`tag` itself is lower case).  One forward
+/// scan: each `<` is examined once.
+fn find_close_tag(bytes: &[u8], from: usize, tag: &[u8]) -> Option<usize> {
+    let mut at = from;
+    while let Some(lt) = find_byte(bytes, at, b'<') {
+        let name = lt + 2;
+        if bytes.get(lt + 1) == Some(&b'/')
+            && bytes.len() >= name + tag.len()
+            && bytes[name..name + tag.len()].eq_ignore_ascii_case(tag)
+        {
+            return Some(lt);
+        }
+        at = lt + 1;
+    }
+    None
 }
 
 /// Decodes the most common HTML character entities.
@@ -353,56 +491,59 @@ impl<'a> Parser<'a> {
 /// Supports the five XML entities, `&nbsp;`, and decimal/hexadecimal numeric
 /// character references.  Unknown entities are left untouched.
 pub fn decode_entities(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
     let mut out = String::with_capacity(input.len());
-    let mut chars = input.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        // Find the terminating ';' within a small window.
-        let rest = &input[i + 1..];
-        let semi = rest.char_indices().take(12).find(|&(_, ch)| ch == ';');
-        let Some((len, _)) = semi else {
-            out.push('&');
-            continue;
-        };
-        let entity = &rest[..len];
-        let replacement: Option<String> = match entity {
-            "amp" => Some("&".into()),
-            "lt" => Some("<".into()),
-            "gt" => Some(">".into()),
-            "quot" => Some("\"".into()),
-            "apos" => Some("'".into()),
-            "nbsp" => Some(" ".into()),
-            _ if entity.starts_with('#') => {
-                let code = if let Some(hex) = entity
-                    .strip_prefix("#x")
-                    .or_else(|| entity.strip_prefix("#X"))
-                {
-                    u32::from_str_radix(hex, 16).ok()
-                } else {
-                    entity[1..].parse::<u32>().ok()
-                };
-                code.and_then(char::from_u32).map(|c| c.to_string())
-            }
-            _ => None,
-        };
-        match replacement {
-            Some(r) => {
-                out.push_str(&r);
+    decode_entities_into(input, &mut out);
+    out
+}
+
+/// [`decode_entities`], appending to `out`.
+fn decode_entities_into(input: &str, out: &mut String) {
+    let mut rest = input;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let body = &rest[amp + 1..];
+        match entity(body) {
+            Some((c, len)) => {
+                out.push(c);
                 // Skip the entity body and the ';'.
-                for _ in 0..=len {
-                    chars.next();
-                }
+                rest = &body[len + 1..];
             }
-            None => out.push('&'),
+            None => {
+                out.push('&');
+                rest = body;
+            }
         }
     }
-    out
+    out.push_str(rest);
+}
+
+/// The character encoded by the entity whose body starts `s` (just after
+/// its `&`), with the byte length of that body; `None` if `s` does not
+/// start with a known entity terminated by a `;` within 12 characters.
+fn entity(s: &str) -> Option<(char, usize)> {
+    let (len, _) = s.char_indices().take(12).find(|&(_, ch)| ch == ';')?;
+    let entity = &s[..len];
+    let c = match entity {
+        "amp" => '&',
+        "lt" => '<',
+        "gt" => '>',
+        "quot" => '"',
+        "apos" => '\'',
+        "nbsp" => ' ',
+        _ if entity.starts_with('#') => {
+            let code = if let Some(hex) = entity
+                .strip_prefix("#x")
+                .or_else(|| entity.strip_prefix("#X"))
+            {
+                u32::from_str_radix(hex, 16).ok()
+            } else {
+                entity[1..].parse::<u32>().ok()
+            };
+            char::from_u32(code?)?
+        }
+        _ => return None,
+    };
+    Some((c, len))
 }
 
 #[cfg(test)]

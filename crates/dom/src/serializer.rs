@@ -1,7 +1,7 @@
 //! Serialization of documents back to HTML markup.
 
 use crate::document::{Document, DOCUMENT_ROOT_TAG};
-use crate::node::{NodeData, NodeId};
+use crate::node::NodeId;
 use crate::parser::VOID_ELEMENTS;
 
 /// Options controlling HTML serialization.
@@ -50,8 +50,9 @@ fn serialize_node(
     depth: usize,
     out: &mut String,
 ) {
-    match doc.data(id) {
-        NodeData::Text(t) => {
+    match doc.tag_name(id) {
+        None => {
+            let t = doc.text_content(id).unwrap_or_default();
             if options.pretty {
                 indent(out, depth, options.indent);
             }
@@ -60,7 +61,7 @@ fn serialize_node(
                 out.push('\n');
             }
         }
-        NodeData::Element { tag, attributes } => {
+        Some(tag) => {
             if tag == DOCUMENT_ROOT_TAG {
                 for child in doc.children(id) {
                     serialize_node(doc, child, options, depth, out);
@@ -72,14 +73,14 @@ fn serialize_node(
             }
             out.push('<');
             out.push_str(tag);
-            for a in attributes {
+            for (name, value) in doc.attributes(id) {
                 out.push(' ');
-                out.push_str(&a.name);
+                out.push_str(name);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(&a.value));
+                out.push_str(&escape_attr(value));
                 out.push('"');
             }
-            let is_void = VOID_ELEMENTS.contains(&tag.as_str());
+            let is_void = VOID_ELEMENTS.contains(&tag);
             if is_void {
                 out.push('>');
                 if options.pretty {

@@ -594,9 +594,9 @@ proptest! {
                 let attrs = doc.attributes(node);
                 let syms = doc.attr_syms(node);
                 prop_assert_eq!(attrs.len(), syms.len());
-                for (a, &(name_sym, value_sym)) in attrs.iter().zip(syms) {
-                    prop_assert_eq!(doc.resolve_sym(name_sym), a.name.as_str());
-                    prop_assert_eq!(doc.resolve_sym(value_sym), a.value.as_str());
+                for ((name, value), &(name_sym, value_sym)) in attrs.iter().zip(syms) {
+                    prop_assert_eq!(doc.resolve_sym(name_sym), name);
+                    prop_assert_eq!(doc.resolve_sym(value_sym), value);
                 }
                 // Symbol-based lookups agree with the string-based ones.
                 for name in ["id", "class", "data-e", "href"] {

@@ -14,8 +14,8 @@
 //!
 //! | Rule | Contract | Introduced |
 //! |------|----------|------------|
-//! | R1 | **Epoch-bump**: every public mutating fn on `Document` (in `wi-dom`'s `mutation.rs`/`document.rs`) must reach `invalidate_indexes()`; sym-payload writers must also reach `sync_syms()`. See the epoch discussion in `crates/dom/src/order.rs` module docs. | PR 2 (order index), PR 4 (sym mirror) |
-//! | R2 | **Interner ownership**: no fn takes `Sym` params alongside more than one `Document` source, and dom import paths (`&mut self` + foreign `Document`) must re-intern via `alloc`/`intern`/`sync_syms`. See `crates/dom/src/intern.rs` module docs. | PR 4 |
+//! | R1 | **Epoch-bump**: every public mutating fn on `Document` (in `wi-dom`'s `mutation.rs`/`document.rs`) must reach `invalidate_indexes()`. See the epoch discussion in `crates/dom/src/order.rs` module docs. | with the order index |
+//! | R2 | **Interner ownership**: no fn takes `Sym` params alongside more than one `Document` source, and dom import paths (`&mut self` + foreign `Document`) must re-intern via `alloc`/`intern`. See `crates/dom/src/intern.rs` module docs. | with the interner |
 //! | R3 | **Pooled contexts**: bare `evaluate(` (one fresh `EvalContext` per call) is forbidden outside `crates/xpath/src/` and allowlisted cold paths; hot paths use `evaluate_with`/`extract_with`. | PR 2, hot since PR 4 |
 //! | R4 | **Panic-free serve paths**: `unwrap`/`expect`/`panic!`-family/slice-indexing are denied in the transitive call graph of the `wi-serve` request roots (`handle`, `handle_connection`, `worker_loop`), non-test code. | PR 6 |
 //! | R5 | **No lock across I/O**: a registry `RwLock` guard may not be live across a blocking socket call (`write_all`, `flush`, …) within a function body. | PR 6 |
@@ -122,7 +122,7 @@ impl Default for LintConfig {
         let s = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         LintConfig {
             r1_files: s(&["crates/dom/src/mutation.rs", "crates/dom/src/document.rs"]),
-            r1_exempt: s(&["invalidate_indexes", "sync_syms", "node_mut"]),
+            r1_exempt: s(&["invalidate_indexes", "node_mut"]),
             r2_dom_prefix: "crates/dom/".into(),
             r3_allow_prefixes: s(&["crates/xpath/src/"]),
             r3_allow_files: s(&[]),

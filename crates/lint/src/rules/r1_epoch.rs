@@ -1,13 +1,10 @@
-//! R1 — epoch-bump contract (introduced by PR 2, tightened by PR 4).
+//! R1 — epoch-bump contract (introduced with the order index).
 //!
 //! Every public `&mut self` function on `Document` in the mutation surface
 //! (`mutation.rs` + `document.rs`) must reach `invalidate_indexes()` on
 //! every path before returning: the order/tag indexes carry an epoch that
 //! readers compare against, and a structural edit that forgets the bump
-//! serves stale navigation silently.  Functions that assign sym-bearing
-//! payloads (element tags, attribute lists) must additionally reach
-//! `sync_syms()` so the symbol mirror never diverges from the string
-//! payloads.
+//! serves stale navigation silently.
 //!
 //! The check is a backward closure over the joint call graph of the two
 //! files: `append_child → insert_child_at_end → invalidate_indexes` counts.
@@ -30,7 +27,6 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
     }
     let graph = CallGraph::build(group);
     let reach_epoch = graph.reaching(&["invalidate_indexes"]);
-    let reach_sync = graph.reaching(&["sync_syms"]);
 
     for &((fi, _), f) in &graph.fns {
         let file = graph.files[fi];
@@ -52,49 +48,5 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
                 ),
             ));
         }
-        if mutates_sym_payload(file, f) && !reach_sync.contains(&f.name) {
-            out.push(diag_at_fn(
-                file,
-                "R1",
-                f,
-                format!(
-                    "fn `{}` assigns sym-bearing payload (tag/attributes) but never \
-                     reaches `sync_syms()`; the interned mirror would diverge",
-                    f.name
-                ),
-            ));
-        }
     }
-}
-
-/// Does the body assign an element tag or mutate the attribute list?
-/// Token signatures: ident `tag` directly followed by `=` (assignment, not
-/// `==`/`=>`), or ident `attributes` followed by `.push`/`.retain`/
-/// `.iter_mut`/`.clear`.
-fn mutates_sym_payload(file: &SourceFile, f: &crate::syntax::Function) -> bool {
-    let Some((open, close)) = f.body else {
-        return false;
-    };
-    for k in open + 1..close {
-        match file.sig_text(k) {
-            "tag"
-                if file.sig_text(k + 1) == "="
-                    && file.sig_text(k + 2) != "="
-                    && file.sig_text(k + 2) != ">" =>
-            {
-                return true;
-            }
-            "attributes"
-                if file.sig_text(k + 1) == "."
-                    && matches!(
-                        file.sig_text(k + 2),
-                        "push" | "retain" | "iter_mut" | "clear" | "sort" | "swap_remove"
-                    ) =>
-            {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
 }

@@ -11,8 +11,8 @@
 //!    instead, or re-intern explicitly.
 //! 2. **Import paths re-intern.** A dom-crate method that writes into
 //!    `self` while reading another `Document` (an alloc-style import path,
-//!    e.g. `import_subtree`) must reach `alloc`/`intern`/`sync_syms` so the
-//!    copied payloads are re-interned into the destination document.
+//!    e.g. `import_subtree`) must reach `alloc`/`intern` so the copied
+//!    payloads are re-interned into the destination document.
 
 use super::{diag_at_fn, CallGraph};
 use crate::diag::Diagnostic;
@@ -26,7 +26,7 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
         .filter(|f| f.rel.starts_with(cfg.r2_dom_prefix.as_str()))
         .collect();
     let dom_graph = CallGraph::build(dom_files);
-    let reinterns = dom_graph.reaching(&["alloc", "intern", "sync_syms"]);
+    let reinterns = dom_graph.reaching(&["alloc", "intern"]);
 
     for file in files {
         let in_dom = file.rel.starts_with(cfg.r2_dom_prefix.as_str());
@@ -67,7 +67,7 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
                     f,
                     format!(
                         "dom import path `{}` copies from another Document but never \
-                         reaches `alloc`/`intern`/`sync_syms`; payloads must be \
+                         reaches `alloc`/`intern`; payloads must be \
                          re-interned into the destination interner",
                         f.name
                     ),

@@ -1,5 +1,5 @@
-//! R1 clean twin: every public mutating fn reaches the epoch bump, and the
-//! sym-payload writer also reaches the sym sync — transitively.
+//! R1 clean twin: every public mutating fn reaches the epoch bump —
+//! transitively.
 
 pub struct Document {
     nodes: Vec<u32>,
@@ -8,10 +8,6 @@ pub struct Document {
 impl Document {
     fn invalidate_indexes(&mut self) {
         self.nodes.clear();
-    }
-
-    fn sync_syms(&mut self) {
-        self.nodes.pop();
     }
 
     fn insert_at_end(&mut self, value: u32) {
@@ -27,7 +23,6 @@ impl Document {
         let tag = tag_value;
         self.nodes.push(tag);
         self.invalidate_indexes();
-        self.sync_syms();
     }
 
     pub fn remove_child(&mut self, child: u32) {

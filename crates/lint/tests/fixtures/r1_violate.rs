@@ -1,4 +1,4 @@
-//! R1 fixture: public mutating fns that forget the epoch bump / sym sync.
+//! R1 fixture: public mutating fns that forget the epoch bump.
 //! Linted as if it were `crates/dom/src/mutation.rs`.
 
 pub struct Document {
@@ -10,10 +10,6 @@ impl Document {
         self.nodes.clear();
     }
 
-    fn sync_syms(&mut self) {
-        self.nodes.pop();
-    }
-
     pub fn append_child(&mut self, parent: u32, child: u32) { //~ R1
         self.nodes.push(parent + child);
     }
@@ -21,7 +17,6 @@ impl Document {
     pub fn set_tag(&mut self, tag_value: u32) { //~ R1
         let tag = tag_value;
         self.nodes.push(tag);
-        self.invalidate_indexes();
     }
 
     pub fn remove_child(&mut self, child: u32) {

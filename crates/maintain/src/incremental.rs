@@ -494,7 +494,7 @@ mod tests {
             doc_elements: 40,
             rotates: false,
             stable_observations: 1,
-            attribute_values: std::sync::Arc::new(std::collections::BTreeSet::new()),
+            attribute_values: std::sync::Arc::new(wi_dom::StringSet::new()),
             anchor_carriers: vec![AnchorCarrier {
                 attribute: "class".into(),
                 value: "title".into(),
@@ -515,7 +515,7 @@ mod tests {
         same.stable_observations = 7;
         same.anchor_carriers[0].neighborhood = vec!["Other:".into()];
         same.anchor_carriers[0].neighborhood_stable = 9;
-        std::sync::Arc::make_mut(&mut same.attribute_values).insert("x".into());
+        same.attribute_values = std::sync::Arc::new(["x"].into_iter().collect());
         assert_eq!(
             lkg_fingerprint(Some(&base)),
             lkg_fingerprint(Some(&same)),

@@ -276,11 +276,11 @@ fn state_from_name(name: &str) -> Option<WrapperState> {
     }
 }
 
-fn strings_to_json<'a>(items: impl IntoIterator<Item = &'a String>) -> JsonValue {
+fn strings_to_json<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> JsonValue {
     JsonValue::Array(
         items
             .into_iter()
-            .map(|s| JsonValue::String(s.clone()))
+            .map(|s| JsonValue::String(s.as_ref().to_string()))
             .collect(),
     )
 }

@@ -49,7 +49,7 @@ pub struct LastKnownGood {
     /// Shared behind an [`Arc`](std::sync::Arc): the set is captured once per
     /// healthy document and never mutated afterwards, so advancing the state
     /// every epoch bumps a refcount instead of cloning the whole census.
-    pub attribute_values: std::sync::Arc<std::collections::BTreeSet<String>>,
+    pub attribute_values: std::sync::Arc<wi_dom::StringSet>,
     /// Carrier census of the bundle's attribute anchors: how many elements
     /// of the healthy document carried each anchored `(attribute, value)`.
     /// A rename moves the census to the new value; a wrong unique match

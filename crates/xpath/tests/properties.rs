@@ -392,7 +392,7 @@ proptest! {
 fn string_pred_matches(doc: &Document, node: NodeId, pred: &Predicate) -> bool {
     match pred {
         Predicate::HasAttribute(name) => {
-            doc.attributes(node).iter().any(|a| a.name == name.as_str())
+            doc.attributes(node).iter().any(|(n, _)| n == name.as_str())
         }
         Predicate::StringCompare {
             func,
@@ -402,8 +402,8 @@ fn string_pred_matches(doc: &Document, node: NodeId, pred: &Predicate) -> bool {
             TextSource::Attribute(name) => doc
                 .attributes(node)
                 .iter()
-                .find(|a| a.name == name.as_str())
-                .is_some_and(|a| func.apply(&a.value, value)),
+                .find(|&(n, _)| n == name.as_str())
+                .is_some_and(|(_, v)| func.apply(v, value)),
             TextSource::NormalizedText => func.apply(&doc.normalized_text(node), value),
         },
         _ => unreachable!("reference covers filter predicates only"),
